@@ -18,6 +18,7 @@ from repro.core.pipeline import (
     LanguageIdentifier,
     make_extractor,
 )
+from repro.core.scored import ScoredBatch, ServedUrl
 from repro.core.selection import (
     SelectionResult,
     SelectionStep,
@@ -42,8 +43,10 @@ __all__ = [
     "LanguageIdentifier",
     "PRECISION",
     "RECALL",
+    "ScoredBatch",
     "SelectionResult",
     "SelectionStep",
+    "ServedUrl",
     "TrainedPool",
     "build_best_combination",
     "evaluate_grid",

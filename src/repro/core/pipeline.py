@@ -57,6 +57,7 @@ Example
 from __future__ import annotations
 
 import abc
+import itertools
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -66,6 +67,7 @@ from repro.algorithms.cctld import CcTldLabeler
 from repro.algorithms.compiled import CompiledScorer
 from repro.api.protocol import DEFAULT_CHUNK_SIZE
 from repro.api.types import BatchResult, Capabilities, ModelInfo, Prediction
+from repro.core.scored import ScoredBatch
 from repro.corpus.records import Corpus, balanced_binary_indices
 from repro.evaluation.confusion import ConfusionMatrix, confusion_matrix
 from repro.evaluation.metrics import BinaryMetrics, evaluate_binary
@@ -124,7 +126,8 @@ class CompiledIdentifier:
     Interned rows are memoized per URL (bounded FIFO of
     :data:`ROW_CACHE_SIZE` entries), so re-scored URLs — crawler frontier
     revisits, repeated triage batches — skip extraction and interning
-    entirely and go straight to the matrix product.
+    entirely and go straight to the matrix product.  The memo is a plain
+    insertion-ordered dict, trimmed once per batch.
     """
 
     def __init__(
@@ -253,7 +256,11 @@ class CompiledIdentifier:
         """Extract and intern a batch of URLs into CSR form.
 
         URLs seen before are served from the interned-row memo; only the
-        cache misses pay extraction + interning (in one sub-batch).
+        cache misses pay extraction + interning (in one sub-batch).  Once
+        the batch is assembled, the oldest rows beyond
+        :data:`ROW_CACHE_SIZE` are evicted in one pass: deleting them one
+        ``next(iter(cache))`` at a time would rescan every slot earlier
+        evictions emptied, which made each eviction cost O(capacity).
         """
         cache = self._row_cache
         missing = list(dict.fromkeys(url for url in urls if url not in cache))
@@ -267,13 +274,14 @@ class CompiledIdentifier:
             fresh_residuals: dict[int, list[tuple[str, float]]] = {}
             for row, name, value in fresh.residuals:
                 fresh_residuals.setdefault(row, []).append((name, value))
+            bounds = fresh.indptr.tolist()
             for row, url in enumerate(missing):
-                ids, values = fresh.row_slice(row)
+                start, stop = bounds[row], bounds[row + 1]
                 # Copies, not views: a view would pin the whole sub-batch
                 # allocation for as long as any one row stays cached.
                 cache[url] = (
-                    ids.copy(),
-                    values.copy(),
+                    fresh.indices[start:stop].copy(),
+                    fresh.data[start:stop].copy(),
                     tuple(fresh_residuals.get(row, ())),
                 )
 
@@ -297,8 +305,10 @@ class CompiledIdentifier:
         else:
             indices = np.empty(0, dtype=np.int64)
             data = np.empty(0, dtype=np.float64)
-        while len(cache) > ROW_CACHE_SIZE:
-            del cache[next(iter(cache))]
+        excess = len(cache) - ROW_CACHE_SIZE
+        if excess > 0:
+            for url in list(itertools.islice(cache, excess)):
+                del cache[url]
         return CsrBatch(
             indptr=indptr,
             indices=indices,
@@ -348,21 +358,18 @@ class CompiledIdentifier:
                 )
         return out
 
+    def scored(self, urls: Sequence[str]) -> ScoredBatch:
+        """The batch's :class:`~repro.core.scored.ScoredBatch` over
+        :meth:`scores_matrix`, languages in scorer order."""
+        return ScoredBatch(urls, tuple(self.scorers), self.scores_matrix(urls))
+
     def scores_many(self, urls: Sequence[str]) -> dict[Language, list[float]]:
         """Per-language decision scores (one matmul for the batch)."""
-        matrix = self.scores_matrix(urls)
-        return {
-            language: matrix[:, column].tolist()
-            for column, language in enumerate(self.scorers)
-        }
+        return self.scored(urls).scores_dict()
 
     def decisions(self, urls: Sequence[str]) -> dict[Language, list[bool]]:
         """Per-language ``score > 0`` decisions for the batch."""
-        matrix = self.scores_matrix(urls)
-        return {
-            language: (matrix[:, column] > 0.0).tolist()
-            for column, language in enumerate(self.scorers)
-        }
+        return self.scored(urls).decisions_dict()
 
 
 class IdentifierBase(abc.ABC):
@@ -394,25 +401,12 @@ class IdentifierBase(abc.ABC):
     def predict(self, urls: Sequence[str]) -> BatchResult:
         """Score one batch into a typed :class:`~repro.api.BatchResult`.
 
-        One :meth:`scores_many` pass (a single matmul on compiled
-        backends, one request on remote ones) yields the scores, the
-        per-language decisions (``score > 0`` — the same rule every
-        backend's ``decisions`` implements), and the best labels.
+        One :meth:`scored` pass (a single matmul on compiled backends,
+        one request on remote ones) yields the scores, the per-language
+        decisions (``score > 0`` — the same rule every backend's
+        ``decisions`` implements), and the best labels.
         """
-        urls = list(urls)
-        scores = self.scores_many(urls)
-        decisions = {
-            language: [value > 0.0 for value in values]
-            for language, values in scores.items()
-        }
-        best = self.classify_many(urls, scores=scores)
-        return BatchResult(
-            urls=tuple(urls),
-            scores=scores,
-            decisions=decisions,
-            best=tuple(best),
-            model=self.capabilities().model,
-        )
+        return self.scored(list(urls)).result(self.capabilities().model)
 
     def predict_iter(
         self, urls: Iterable[str], chunk_size: int = DEFAULT_CHUNK_SIZE
@@ -463,6 +457,18 @@ class IdentifierBase(abc.ABC):
     def scores_many(self, urls: Sequence[str]) -> dict[Language, list[float]]:
         """Per-language decision scores for a batch of URLs."""
 
+    def scored(self, urls: Sequence[str]) -> ScoredBatch:
+        """Score one batch into a :class:`~repro.core.scored.ScoredBatch`.
+
+        Compiled backends hand over their one matmul's matrix as is;
+        every other backend's :meth:`scores_many` dict is wrapped (an
+        exact round trip), so all batch answers derive from one type.
+        """
+        compiled = getattr(self, "compiled", None)
+        if compiled is not None:
+            return compiled.scored(urls)
+        return ScoredBatch.from_scores(urls, self.scores_many(urls))
+
     def scores(self, url: str) -> dict[Language, float]:
         """Per-language decision scores (larger = more confident yes).
 
@@ -483,18 +489,12 @@ class IdentifierBase(abc.ABC):
 
         Callers that already hold this batch's :meth:`scores_many`
         result (the CLI prints labels *and* per-language answers) pass
-        it via ``scores`` to avoid a second scoring pass.
+        it via ``scores`` to avoid a second scoring pass.  Ties go to
+        the first language in scoring order.
         """
         if scores is None:
-            scores = self.scores_many(urls)
-        out: list[Language | None] = []
-        for row in range(len(urls)):
-            best_language, best_score = max(
-                ((language, scores[language][row]) for language in scores),
-                key=lambda item: item[1],
-            )
-            out.append(best_language if best_score > 0.0 else None)
-        return out
+            return self.scored(urls).best
+        return ScoredBatch.from_scores(urls, scores).best
 
     def predict_languages(self, url: str) -> set[Language]:
         """All languages whose binary classifier answers yes for ``url``."""

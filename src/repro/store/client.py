@@ -40,9 +40,9 @@ from typing import TYPE_CHECKING
 
 from repro.api.resolver import daemon_socket_path, is_daemon_handle
 from repro.core.pipeline import IdentifierBase
+from repro.core.scored import ScoredBatch, ServedUrl
 from repro.languages import Language
 from repro.obs.trace import start_trace
-from repro.store.serve import ServedUrl
 from repro.store.wire import (
     MAX_CORRELATION_ID,
     PROTOCOL_VERSION,
@@ -943,29 +943,10 @@ class AsyncRemoteIdentifier:
         """One score pass into a :class:`repro.api.BatchResult` — the
         same derivation as the sync ``predict`` (decisions are
         ``score > 0``; best is the max-scoring language when positive)."""
-        from repro.api.types import BatchResult
-
         urls = list(urls)
-        scores = await self.ascores_many(urls)
-        decisions = {
-            language: [value > 0.0 for value in values]
-            for language, values in scores.items()
-        }
-        best = []
-        for row in range(len(urls)):
-            best_language, best_score = max(
-                ((language, scores[language][row]) for language in scores),
-                key=lambda item: item[1],
-            )
-            best.append(best_language if best_score > 0.0 else None)
+        batch = ScoredBatch.from_scores(urls, await self.ascores_many(urls))
         capabilities = await self.acapabilities()
-        return BatchResult(
-            urls=tuple(urls),
-            scores=scores,
-            decisions=decisions,
-            best=tuple(best),
-            model=capabilities.model,
-        )
+        return batch.result(capabilities.model)
 
     async def aclose(self) -> None:
         """Drop the connection and the cached capability block."""

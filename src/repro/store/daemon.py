@@ -55,6 +55,7 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
+from repro.core.scored import ScoredBatch
 from repro.obs.events import EventLogger, json_log_enabled
 from repro.obs.prom import CONTENT_TYPE as PROM_CONTENT_TYPE
 from repro.obs.prom import render_prometheus
@@ -67,16 +68,16 @@ from repro.store.metrics import (
     RequestMetrics,
     RobustnessCounters,
 )
-from repro.store.serve import score_batch
 from repro.store.wire import (
     PROTOCOL_VERSION,
     ConnectionClosed,
     FrameTooLargeError,
     WireError,
+    encode_frame,
     error_response,
     ok_response,
     recv_frame_ex,
-    send_message,
+    send_all,
 )
 from repro.testing import faults
 
@@ -373,11 +374,11 @@ class ServingDaemon:
             return None
         return DriftCounters(languages, window_rows=self._drift_window)
 
-    def _observe_drift(self, scores: dict) -> None:
-        """Fold one batch's ``scores_many`` result into drift telemetry."""
+    def _observe_drift(self, batch: ScoredBatch) -> None:
+        """Fold one scored batch's matrix columns into drift telemetry."""
         drift = self._drift
         if drift is not None:
-            drift.observe(scores)
+            drift.observe(batch.columns())
 
     def _reload_gate(self, current: _ModelState) -> str | None:
         """Why the artifact at ``model_path`` must NOT replace ``current``.
@@ -560,29 +561,32 @@ class ServingDaemon:
         assert self._state is not None
         identifier = self._state.identifier
         try:
-            # One scores_many pass answers every batch op *and* feeds
-            # the drift counters — decisions are score > 0 on the same
+            # One scoring pass answers every batch op *and* feeds the
+            # drift counters — decisions are score > 0 on the same
             # matrix (byte-identical to identifier.decisions, which
             # thresholds the identical scores_matrix), so observing
-            # drift never costs a second matmul.
-            scores = identifier.scores_many(urls)
-            self._observe_drift(scores)
-            if op == "classify":
-                rows = score_batch(identifier, urls, scores=scores)
-                return ok_response(results=[
-                    {"url": row.url, "best": row.best,
-                     "positives": list(row.positives)}
-                    for row in rows
-                ])
-            if op == "score":
-                return ok_response(scores={
-                    language.value: values
-                    for language, values in scores.items()
-                })
-            return ok_response(decisions={
-                language.value: [value > 0.0 for value in values]
-                for language, values in scores.items()
-            })
+            # drift never costs a second matmul.  The matrix stays one
+            # array until the response body is built from its columns.
+            batch = identifier.scored(urls)
+            with stage("drift"):
+                self._observe_drift(batch)
+            with stage("materialise"):
+                if op == "classify":
+                    body = {"results": [
+                        {"url": url, "best": best, "positives": list(positives)}
+                        for url, best, positives in zip(
+                            urls, batch.best_codes, batch.positives
+                        )
+                    ]}
+                elif op == "score":
+                    body = {"scores": dict(
+                        zip(batch.codes, batch.scores_dict().values())
+                    )}
+                else:
+                    body = {"decisions": dict(
+                        zip(batch.codes, batch.decisions_dict().values())
+                    )}
+            return ok_response(**body)
         except Exception as error:  # noqa: BLE001 - keep the worker alive
             self._log(f"internal error answering {op!r}: {error!r}")
             return error_response("internal", f"{type(error).__name__}: {error}")
@@ -603,9 +607,15 @@ class ServingDaemon:
         state = self._state
         identifier = state.identifier
         compiled = identifier.compiled
-        from repro.urls.tokenizer import tokenize_cached
+        from repro.urls.tokenizer import tokenize_bytes_cached, tokenize_cached
 
-        cache_info = tokenize_cached.cache_info()
+        # The memo of whichever tokenizer the active extraction backend
+        # calls: byte tokens for the fused plan, str tokens otherwise.
+        tokenizer = (
+            tokenize_bytes_cached if compiled.extraction == "fused"
+            else tokenize_cached
+        )
+        cache_info = tokenizer.cache_info()
         return {
             "pid": os.getpid(),
             "role": "worker" if self._is_worker else "parent",
@@ -919,8 +929,10 @@ class ServingDaemon:
             return False
         trace_id, span_id = trace if trace is not None else (None, None)
         try:
-            send_message(connection, message, correlation_id=correlation_id,
-                         trace_id=trace_id, span_id=span_id)
+            with stage("encode"):
+                frame = encode_frame(message, correlation_id=correlation_id,
+                                     trace_id=trace_id, span_id=span_id)
+            send_all(connection, frame)
             return True
         except FrameTooLargeError as error:
             # The *response* outgrew the frame cap (a batch near the

@@ -35,7 +35,6 @@ ROADMAP's N-language item, closing the loop with the hot-reload gate.
 
 from __future__ import annotations
 
-import bisect
 import multiprocessing
 import time
 
@@ -310,60 +309,52 @@ class DriftCounters:
 
         ``scores`` maps language code (or anything ``str()``-able to
         one, e.g. a :class:`~repro.core.types.Language`) to that
-        language's per-URL score list — exactly the shape
-        ``scores_many`` returns.  Unknown languages are ignored, so a
-        caller can feed a superset without pre-filtering.  One lock
-        acquisition per *batch*, far off the per-URL hot path.
+        language's per-URL scores — the shape ``scores_many`` returns,
+        or the numpy columns of one score matrix
+        (:meth:`~repro.core.scored.ScoredBatch.columns`).  Unknown
+        languages are ignored, so a caller can feed a superset without
+        pre-filtering.  The batch is reduced with whole-matrix numpy
+        ops, then folded in under one lock acquisition per *batch*.
         """
-        staged: list[tuple[int, int, float, list[int]]] = []
-        rows = 0
+        import numpy
+
+        indices: list[int] = []
+        columns = []
         for code, values in scores.items():
             index = self._index.get(self._code(code))
-            if index is None:
-                continue
-            rows = max(rows, len(values))
-            staged.append((index, *self._reduce(values)))
-        if not staged or rows == 0:
+            if index is not None:
+                indices.append(index)
+                columns.append(values)
+        if not indices:
+            return
+        # One contiguous row per language, so each row's sum is the
+        # same pairwise reduction a 1-D column sum would be.
+        matrix = numpy.array(columns, dtype=numpy.float64)
+        rows = matrix.shape[1]
+        if rows == 0:
             return
         n, b = self._n, self._b
+        positives = (matrix > 0.0).sum(axis=1).tolist()
+        totals = matrix.sum(axis=1).tolist()
+        positions = numpy.searchsorted(DRIFT_SCORE_BOUNDS, matrix, side="left")
+        positions += numpy.arange(len(indices))[:, None] * b
+        bucket_counts = numpy.bincount(
+            positions.ravel(), minlength=len(indices) * b
+        ).reshape(len(indices), b).tolist()
         with self._lock:
-            for index, positives, total, bucket_counts in staged:
+            for index, positive, total, counts in zip(
+                indices, positives, totals, bucket_counts
+            ):
                 slot = _DRIFT_CURRENT * n + index
-                self._decisions[slot] += positives
+                self._decisions[slot] += positive
                 self._score_sums[slot] += total
                 base = slot * b
-                for bucket, count in enumerate(bucket_counts):
+                for bucket, count in enumerate(counts):
                     if count:
                         self._score_counts[base + bucket] += count
             self._rows[_DRIFT_CURRENT] += rows
             if self._rows[_DRIFT_CURRENT] >= self.window_rows:
                 self._roll_locked()
-
-    @staticmethod
-    def _reduce(values) -> tuple[int, float, list[int]]:
-        """One language's batch -> (positives, score sum, bucket counts)."""
-        buckets = [0] * (len(DRIFT_SCORE_BOUNDS) + 1)
-        try:
-            import numpy
-        except ImportError:
-            positives = 0
-            total = 0.0
-            for value in values:
-                value = float(value)
-                if value > 0.0:
-                    positives += 1
-                total += value
-                buckets[bisect.bisect_left(DRIFT_SCORE_BOUNDS, value)] += 1
-            return positives, total, buckets
-        array = numpy.asarray(values, dtype=numpy.float64)
-        positions = numpy.searchsorted(
-            DRIFT_SCORE_BOUNDS, array, side="left"
-        )
-        for bucket, count in zip(
-            *numpy.unique(positions, return_counts=True)
-        ):
-            buckets[int(bucket)] = int(count)
-        return int((array > 0.0).sum()), float(array.sum()), buckets
 
     def _roll_locked(self) -> None:
         """Complete the current window (caller holds the lock)."""

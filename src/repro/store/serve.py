@@ -20,9 +20,10 @@ Two serving shapes build on this module:
   ``serve_pool`` vs ``serve_daemon`` entries of
   ``benchmarks/BENCH_core_throughput.json`` quantify the difference.
 
-:func:`score_batch` is the shared per-batch kernel both shapes call:
-one ``scores_many`` matmul feeding both the best label and the
-per-language binary answers.
+:func:`score_batch` is the per-batch kernel of the pool workers: one
+scoring pass into a :class:`~repro.core.scored.ScoredBatch` whose served
+rows carry both the best label and the per-language binary answers.
+(The daemon builds its answers from the same batch's columns.)
 """
 
 from __future__ import annotations
@@ -30,27 +31,12 @@ from __future__ import annotations
 import multiprocessing
 import os
 from collections.abc import Sequence
-from typing import NamedTuple
 
 from repro.core.pipeline import IdentifierBase
+from repro.core.scored import ScoredBatch, ServedUrl
 
 #: Default number of URLs per scoring batch (one matmul each).
 DEFAULT_BATCH_SIZE = 512
-
-
-class ServedUrl(NamedTuple):
-    """One scored URL: the single best label (or ``None``) plus every
-    language whose binary classifier answered yes."""
-
-    url: str
-    best: str | None
-    positives: tuple[str, ...]
-
-    def tsv(self) -> str:
-        """The CLI's output row: ``best <TAB> binary-yes <TAB> url``,
-        with ``-`` placeholders.  ``classify`` and the serve front-ends
-        all emit this format, so they stay diff-compatible."""
-        return f"{self.best or '-'}\t{','.join(self.positives) or '-'}\t{self.url}"
 
 
 def score_batch(
@@ -58,33 +44,15 @@ def score_batch(
 ) -> list[ServedUrl]:
     """Score one batch with ``identifier`` (a single matmul when compiled).
 
-    The per-batch kernel shared by the pool workers here, the daemon's
-    ``classify`` operation, and the CLI's ``classify`` command: one
-    ``scores_many`` pass yields both the best label and the
-    per-language yes/no answers, in input order.  A caller that already
-    holds the batch's ``scores_many`` result (the daemon does, to feed
-    its drift counters) passes it as ``scores`` to skip the re-score.
+    The per-batch kernel of the pool workers here (``repro serve
+    batch``): one :meth:`~IdentifierBase.scored` pass yields
+    both the best label and the per-language yes/no answers, in input
+    order.  A caller that already holds the batch's ``scores_many``
+    result passes it as ``scores`` to skip the re-score.
     """
     if scores is None:
-        scores = identifier.scores_many(urls)
-    best = identifier.classify_many(urls, scores=scores)
-    results = []
-    for row, url in enumerate(urls):
-        positives = tuple(
-            sorted(
-                language.value
-                for language in scores
-                if scores[language][row] > 0.0
-            )
-        )
-        results.append(
-            ServedUrl(
-                url=url,
-                best=best[row].value if best[row] is not None else None,
-                positives=positives,
-            )
-        )
-    return results
+        return identifier.scored(urls).served()
+    return ScoredBatch.from_scores(urls, scores).served()
 
 
 #: Per-process identifier, set once by the pool initializer.

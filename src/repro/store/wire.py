@@ -179,7 +179,7 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def _send_all(sock: socket.socket, payload: bytes) -> None:
+def send_all(sock: socket.socket, payload: bytes) -> None:
     """``sendall`` with explicit EINTR recovery.
 
     ``sendall`` retries EINTR internally (:pep:`475`) but, if a raising
@@ -278,7 +278,7 @@ def send_message(sock: socket.socket, message: dict,
     ``trace_id``/``span_id`` tie the frame to a distributed trace;
     servers echo the trace id with their own span id on the response.
     """
-    _send_all(
+    send_all(
         sock,
         encode_frame(message, deadline_ms, correlation_id,
                      trace_id=trace_id, span_id=span_id),

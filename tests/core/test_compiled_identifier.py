@@ -8,9 +8,13 @@ and pickling of compiled models.
 from __future__ import annotations
 
 import pickle
+import statistics
+import time
 
+import numpy as np
 import pytest
 
+from repro.core import pipeline
 from repro.core.pipeline import CompiledIdentifier, LanguageIdentifier
 from repro.languages import LANGUAGES
 
@@ -179,3 +183,82 @@ class TestBatchEntryPoints:
         sparse = _fitted("NB", "trigrams", small_train, backend="sparse")
         test = small_bundle.odp_test
         assert compiled.confusion(test).cells == sparse.confusion(test).cells
+
+
+def _fresh_urls(start: int, stop: int) -> list[str]:
+    """Distinct, never-repeating URLs (one per integer in the range)."""
+    return [f"http://www.seite{i}.example.de/artikel/{i}" for i in range(start, stop)]
+
+
+class TestRowMemo:
+    """The interned-row memo is a FIFO of at most ``ROW_CACHE_SIZE``
+    URLs, trimmed once per batch."""
+
+    CAPACITY = 50
+
+    @pytest.fixture
+    def compiled(self, small_train, monkeypatch):
+        monkeypatch.setattr(pipeline, "ROW_CACHE_SIZE", self.CAPACITY)
+        return _fitted("NB", "words", small_train).compiled
+
+    def test_memo_keeps_the_newest_urls_in_insertion_order(self, compiled):
+        inserted: list[str] = []
+        for start in range(0, 160, 40):
+            batch = _fresh_urls(start, start + 40)
+            # Hits do not refresh a row's position: FIFO, not LRU.
+            replay = [url for url in inserted[-10:] if url in compiled._row_cache]
+            compiled.scores_matrix(replay + batch + batch[:5])
+            inserted.extend(batch)
+            assert list(compiled._row_cache) == inserted[-self.CAPACITY:]
+        assert compiled.cache_info["rows"] == self.CAPACITY
+
+    def test_batch_larger_than_capacity_answers_every_row(self, compiled):
+        cold = pickle.loads(pickle.dumps(compiled))
+        urls = _fresh_urls(0, 3 * self.CAPACITY + 7)
+        matrix = compiled.scores_matrix(urls)
+        assert matrix.shape == (len(urls), len(compiled.scorers))
+        assert np.array_equal(matrix, cold.scores_matrix(urls))
+        assert list(compiled._row_cache) == urls[-self.CAPACITY:]
+
+    def test_rescored_evicted_urls_match_a_cold_identifier(self, compiled):
+        first = _fresh_urls(0, 30)
+        compiled.scores_matrix(first)
+        compiled.scores_matrix(_fresh_urls(30, 130))  # evicts all of first
+        assert not any(url in compiled._row_cache for url in first)
+        cold = pickle.loads(pickle.dumps(compiled))
+        assert not cold._row_cache
+        assert np.array_equal(
+            compiled.scores_matrix(first), cold.scores_matrix(first)
+        )
+
+    def test_full_memo_costs_fresh_batches_no_more_than_an_empty_one(
+        self, small_train
+    ):
+        """Same-process ratio guard: a 1000-URL batch of never-seen URLs
+        into a full memo (which must evict 1000 rows) costs at most 3x
+        the same batch into an empty memo.  Evicting one row at a time
+        from the front of the dict rescanned the slots earlier evictions
+        had emptied; once the memo had turned over for a while that put
+        this ratio at about 4x (and growing until the dict resized)."""
+        full = _fitted("NB", "words", small_train).compiled
+        empty = pickle.loads(pickle.dumps(full))
+        capacity = pipeline.ROW_CACHE_SIZE
+        full.batch(_fresh_urls(0, capacity))
+        assert full.cache_info["rows"] == capacity
+        next_url = capacity
+        for _ in range(50):  # turn the full memo over: steady serving
+            full.batch(_fresh_urls(next_url, next_url + 1000))
+            next_url += 1000
+        full_times, empty_times = [], []
+        for _ in range(15):
+            for memo, times in ((full, full_times), (empty, empty_times)):
+                urls = _fresh_urls(next_url, next_url + 1000)
+                next_url += 1000
+                if memo is empty:
+                    memo._row_cache.clear()
+                started = time.perf_counter()
+                memo.batch(urls)
+                times.append(time.perf_counter() - started)
+        assert full.cache_info["rows"] == capacity
+        ratio = statistics.median(full_times) / statistics.median(empty_times)
+        assert ratio <= 3.0, f"full/empty memo batch time ratio {ratio:.2f}"
