@@ -19,13 +19,18 @@ The execution model:
    one shared physical copy of the weight matrix, exactly like the
    serving pool.  Shards are handed to workers largest-first (greedy
    balancing); within a shard, URLs stream through
-   ``chunk_size``-sized :meth:`~repro.api.Predictor.predict` passes —
-   one matmul each on the compiled backend.
+   ``chunk_size``-sized scoring passes — one matmul each on the
+   compiled backend — and each chunk's
+   :class:`~repro.core.scored.ScoredBatch` is formatted from its
+   columns by the sink.
 3. **Commit.**  A worker writes its shard's rows to ``<output>.part``,
    fsyncs, renames — then the parent records the output's sha256 in
    the manifest and atomically replaces it.  Nothing is ever appended
    to: a kill leaves either a committed shard or an ignorable
-   ``.part`` file, never a half-trusted output.
+   ``.part`` file, never a half-trusted output.  For the sqlite sink
+   the worker also stages the same rows in
+   ``<output>.rows.part.<pid>``, and the parent ingests that file into
+   the result index right after the manifest save.
 
 Resume (``resume=True``) refuses a different model checksum or a
 changed shard list, re-verifies every committed output's sha256
@@ -40,10 +45,13 @@ import hashlib
 import json
 import multiprocessing
 import os
+import sqlite3
 import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from repro.api.protocol import DEFAULT_CHUNK_SIZE, Predictor
 from repro.bulk.checkpoint import MANIFEST_NAME, RunManifest, sha256_file
@@ -55,6 +63,7 @@ from repro.bulk.errors import (
 )
 from repro.bulk.sink import RowSink, SummaryAccumulator, make_sink
 from repro.bulk.source import BadRow, Shard, discover_shards, read_rows
+from repro.core.scored import ScoredBatch
 from repro.obs.events import EventLogger
 from repro.store.metrics import LatencyHistogram
 from repro.testing import faults
@@ -221,36 +230,37 @@ def _chunks(urls: Iterable[str], size: int) -> Iterator[list[str]]:
         yield chunk
 
 
-def _predict_rows(
+def _score_chunk(
     predictor: Predictor,
     chunk: list[str],
     shard_id: str,
     quarantine: bool,
     quarantined: list[dict],
-) -> list:
-    """One predict pass over a chunk, degrading to per-row retry.
+) -> ScoredBatch | None:
+    """One scoring pass over a chunk, degrading to per-row retry.
 
     A whole-chunk failure (a poison URL crashing the backend, a
     transient daemon error) is retried one URL at a time, so a single
     bad row costs one row, not a shard: rows that fail again land in
     ``quarantined`` with the error as the reason, every other row is
-    scored normally.  With quarantine off the original error
+    scored normally and the survivors come back as one batch (``None``
+    when none survived).  With quarantine off the original error
     propagates — the strict, fail-the-run reading.
     """
     try:
         faults.maybe_raise(
             "predict-error", shard=shard_id, text=" ".join(chunk)
         )
-        return list(predictor.predict(chunk))
+        return ScoredBatch.of(predictor, chunk)
     except Exception as error:
         if not quarantine:
             raise
         chunk_error = error
-    predictions: list = []
+    survivors: list[ScoredBatch] = []
     for url in chunk:
         try:
             faults.maybe_raise("predict-error", shard=shard_id, text=url)
-            predictions.extend(predictor.predict([url]))
+            survivors.append(ScoredBatch.of(predictor, [url]))
         except Exception as error:
             quarantined.append({
                 "shard": shard_id,
@@ -260,16 +270,25 @@ def _predict_rows(
                     f"chunk failure was: {chunk_error}"
                 ),
             })
-    return predictions
+    if not survivors:
+        return None
+    return ScoredBatch(
+        [url for batch in survivors for url in batch.urls],
+        survivors[0].languages,
+        np.concatenate([batch.matrix for batch in survivors]),
+    )
 
 
 def _score_shard(task: dict) -> dict:
     """Score one shard with the worker's model; commit atomically.
 
-    Rows stream: read a chunk, one ``predict`` pass (a single matmul
-    on compiled backends), format, hash, write.  The output file is
-    born as ``<name>.part`` and renamed only after an fsync, so a
-    SIGKILL can never leave a truncated file under the final name.
+    Rows stream: read a chunk, one scoring pass (a single matmul on
+    compiled backends), format the chunk's columns, hash, write.  The
+    output file is born as ``<name>.part`` and renamed only after an
+    fsync, so a SIGKILL can never leave a truncated file under the
+    final name.  For sinks that index results, the same rows also go
+    to a :class:`~repro.query.ingest.RowStager` file the parent ingests
+    and deletes; a shard that does not commit deletes it itself.
     In quarantine mode (the default) malformed input rows and rows
     whose per-row predict retry still fails are recorded in a
     ``*.quarantine.jsonl`` sidecar instead of failing the shard.
@@ -313,7 +332,15 @@ def _score_shard(task: dict) -> dict:
     rows = 0
     started = time.perf_counter()
     quarantine_sha256: str | None = None
+    stager = None
+    committed = False
     try:
+        if sink.indexes_results:
+            from repro.query.ingest import RowStager
+
+            stager = RowStager(
+                Path(output_dir) / f"{output_name}.rows.part.{os.getpid()}"
+            )
         with open(part_path, "wb") as stream:
             header = sink.header()
             if header is not None:
@@ -322,24 +349,35 @@ def _score_shard(task: dict) -> dict:
                 stream.write(data)
             for chunk in _chunks(rows_in(), chunk_size):
                 chunk_started = time.perf_counter()
-                batch = _predict_rows(
+                scored = _score_chunk(
                     predictor, chunk, shard.shard_id, quarantine,
                     quarantined,
                 )
                 latency.observe(time.perf_counter() - chunk_started)
-                for prediction in batch:
-                    data = (sink.format(prediction) + "\n").encode("utf-8")
-                    digest.update(data)
-                    stream.write(data)
-                    summary.observe(prediction)
-                    rows += 1
+                if scored is None:
+                    continue
+                if stager is None:
+                    text = sink.format_batch(scored)
+                else:
+                    text, columns = sink.format_indexed(scored)
+                    stager.add(*columns)
+                data = text.encode("utf-8")
+                digest.update(data)
+                stream.write(data)
+                summary.observe_batch(scored)
+                rows += len(scored.urls)
             stream.flush()
             os.fsync(stream.fileno())
+        if stager is not None:
+            stager.close()
         if quarantined:
             quarantine_sha256 = _commit_sidecar(sidecar_path, quarantined)
         faults.maybe_raise("commit-error", shard=shard.shard_id)
         os.replace(part_path, final_path)
-    except OSError as error:
+        committed = True
+    except (OSError, sqlite3.Error) as error:
+        # sqlite3.Error: the staging file's writes (a full disk
+        # surfaces there as "database or disk is full").
         try:
             part_path.unlink()
         except OSError:
@@ -350,6 +388,9 @@ def _score_shard(task: dict) -> dict:
             "disk and re-run with --resume to re-score only what is "
             "missing"
         ) from error
+    finally:
+        if stager is not None and not committed:
+            stager.discard()
     if not quarantined:
         # A previous, since-demoted attempt may have left a sidecar;
         # this clean pass supersedes it.
@@ -368,6 +409,7 @@ def _score_shard(task: dict) -> dict:
         "quarantined": len(quarantined),
         "quarantine_file": sidecar_path.name if quarantined else None,
         "quarantine_sha256": quarantine_sha256,
+        "staged": stager.path.name if stager is not None else None,
     }
 
 
@@ -590,9 +632,11 @@ def run(
 
     # Parent-side result indexing (sqlite sink): ingest each shard the
     # moment its output commits, so the index trails the manifest by at
-    # most one shard.  Workers never see the database — the scoring hot
-    # path pays nothing.  Any gap a kill leaves between manifest save
-    # and ingest is healed by the index_run() reconcile below.
+    # most one shard.  Workers never see the database; they hand over
+    # the rows they formatted as a staging file, which the parent copies
+    # in with SQL alone.  Any gap a kill leaves between manifest save
+    # and ingest is healed by the index_run() reconcile below, from the
+    # committed text.
     ordinals = {
         shard_id: ordinal
         for ordinal, shard_id in enumerate(manifest.order)
@@ -626,16 +670,21 @@ def run(
         manifest.shards[result["shard_id"]]["summary"] = result["summary"]
         if not stdin_run:
             manifest.save(manifest_path)
+        ingest_seconds = None
         if index_connection is not None:
             from repro.query.ingest import ingest_shard
 
+            ingest_started = time.perf_counter()
+            staged = result.get("staged")
             ingest_shard(
                 index_connection,
                 ordinal=ordinals[result["shard_id"]],
                 shard_id=result["shard_id"],
                 output_path=output_dir / result["output"],
                 sha256=result["sha256"],
+                staged=output_dir / staged if staged else None,
             )
+            ingest_seconds = time.perf_counter() - ingest_started
         latency.merge(LatencyHistogram.from_snapshot(result["latency"]))
         scored += 1
         rows_scored += result["rows"]
@@ -647,6 +696,10 @@ def run(
             elapsed = time.perf_counter() - started
             bytes_per_second = bytes_done / elapsed if elapsed > 0 else 0.0
             remaining = max(0, bytes_pending - bytes_done)
+            indexed = (
+                {} if ingest_seconds is None
+                else {"ingest_seconds": round(ingest_seconds, 6)}
+            )
             events.emit(
                 "shard-commit",
                 shard=result["shard_id"],
@@ -662,6 +715,7 @@ def run(
                 quarantined=result.get("quarantined", 0),
                 completed=skipped + scored,
                 total=len(manifest.order),
+                **indexed,
             )
         if progress:
             rate = result["rows"] / result["seconds"] if result["seconds"] else 0

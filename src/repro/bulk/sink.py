@@ -2,8 +2,11 @@
 
 A sink is a **row formatter**: the engine owns the files (one output
 shard per input shard, written atomically and hashed for the
-checkpoint manifest); the sink decides what a row looks like.  Three
-formats ship:
+checkpoint manifest); the sink decides what a row looks like.  The
+engine hands a sink one :class:`~repro.core.scored.ScoredBatch` per
+chunk and writes what :meth:`RowSink.format_batch` returns;
+:meth:`RowSink.format` is the same row for one
+:class:`~repro.api.Prediction`.  Four formats ship:
 
 * ``tsv`` — exactly the rows ``repro classify`` prints
   (``best <TAB> binary-yes <TAB> url``), so the concatenated shard
@@ -29,14 +32,21 @@ summary line.
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import itertools
 import json
-from collections.abc import Mapping
+import math
+from collections import Counter
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
+
+import numpy as np
 
 from repro.api.types import Prediction
 from repro.bulk.errors import BulkError
+from repro.core.scored import ScoredBatch
 from repro.languages import LANGUAGES
 
 __all__ = [
@@ -81,6 +91,27 @@ class RowSink:
         """One output row (no trailing newline)."""
         raise NotImplementedError
 
+    def format_batch(self, scored: ScoredBatch) -> str:
+        """Every row of one scored chunk, each ending in a newline.
+
+        This default formats row by row through :meth:`format`;
+        :class:`TsvSink` and :class:`JsonlSink` read the batch's columns
+        instead, with the same bytes.
+        """
+        by_code = {language.value: language for language in scored.languages}
+        return "".join(
+            self.format(Prediction(
+                url=url,
+                best=best,
+                positives=tuple(by_code[code] for code in positives),
+                scores=dict(zip(scored.languages, row)),
+            )) + "\n"
+            for url, best, positives, row in zip(
+                scored.urls, scored.best, scored.positives,
+                scored.matrix.tolist(),
+            )
+        )
+
 
 class TsvSink(RowSink):
     """``classify``-compatible TSV: ``best <TAB> positives <TAB> url``.
@@ -95,33 +126,135 @@ class TsvSink(RowSink):
     def format(self, prediction: Prediction) -> str:
         return prediction.tsv()
 
+    def format_batch(self, scored: ScoredBatch) -> str:
+        return "".join(row.tsv() + "\n" for row in scored.served())
+
+
+#: The string escaper ``json.dumps`` uses under its default
+#: ``ensure_ascii=True``.
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _json_float(value: float) -> str:
+    """``value`` as ``json.dumps`` writes it: ``float.__repr__``, or
+    ``NaN`` / ``Infinity`` / ``-Infinity``."""
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+@functools.lru_cache(maxsize=256)
+def _json_codes(codes: tuple[str, ...]) -> str:
+    return "[" + ",".join(map(_json_string, codes)) + "]"
+
+
+class _ScoreLayout(NamedTuple):
+    """How scores in one language order become a JSON ``scores`` object."""
+
+    #: Score columns in language-code order.
+    order: list[int]
+    #: JSON-escaped codes, in that order.
+    keys: list[str]
+    #: ``{"<code>":%r,...}``: one ``%``-format per row of finite scores
+    #: (``%r`` of a float is the ``float.__repr__`` ``json.dumps`` uses).
+    template: str
+
+
+@functools.lru_cache(maxsize=32)
+def _score_layout(codes: tuple[str, ...]) -> _ScoreLayout:
+    order = sorted(range(len(codes)), key=codes.__getitem__)
+    keys = [_json_string(codes[column]) for column in order]
+    template = "{" + ",".join(f"{key}:%r" for key in keys) + "}"
+    return _ScoreLayout(order, keys, template)
+
+
+def _scores_json(
+    layout: _ScoreLayout, rows: list[tuple[float, ...]], finite: bool
+) -> list[str]:
+    """One ``scores`` object per row of ``rows`` (already in
+    ``layout.order``), exactly as ``json.dumps`` writes it.  Rows that
+    are not all ``finite`` go value by value, so non-finite scores read
+    ``NaN``/``Infinity`` rather than ``repr``'s ``nan``/``inf``."""
+    if finite:
+        return [layout.template % row for row in rows]
+    return [
+        "{" + ",".join(
+            f"{key}:{_json_float(value)}"
+            for key, value in zip(layout.keys, row)
+        ) + "}"
+        for row in rows
+    ]
+
+
+#: Language → its code, without the enum's ``value`` descriptor.
+_CODE_OF = {language: language.value for language in LANGUAGES}
+
 
 class JsonlSink(RowSink):
     """One JSON object per URL: decisions, scores, provenance.
 
     Scores are emitted with JSON ``repr`` round-tripping, so a reader
     recovers bit-identical floats to what the scoring matmul produced.
+    Rows are the bytes ``json.dumps(row, separators=(",", ":"))`` would
+    write, assembled from the batch's columns: strings escaped by
+    ``json``'s own ASCII escaper, floats by ``float.__repr__``, scores
+    in language-code order.
     """
 
     suffix = ".jsonl"
 
     def format(self, prediction: Prediction) -> str:
-        row = {
-            "url": prediction.url,
-            "best": prediction.best.value if prediction.best else None,
-            "positives": [
-                language.value for language in prediction.positives
-            ],
-            "scores": {
-                language.value: score
-                for language, score in sorted(
-                    prediction.scores.items(), key=lambda kv: kv[0].value
-                )
-            },
-        }
-        if self.provenance:
-            row["model"] = self.provenance
-        return json.dumps(row, separators=(",", ":"), sort_keys=False)
+        layout = _score_layout(tuple(map(_CODE_OF.get, prediction.scores)))
+        values = list(prediction.scores.values())
+        row = tuple(float(values[column]) for column in layout.order)
+        best = prediction.best
+        (line,) = self._lines(
+            [prediction.url],
+            [None if best is None else _CODE_OF[best]],
+            [tuple(map(_CODE_OF.get, prediction.positives))],
+            _scores_json(layout, [row], all(map(math.isfinite, row))),
+        )
+        return line
+
+    def format_batch(self, scored: ScoredBatch) -> str:
+        lines, _ = self._encode(scored)
+        return "".join(line + "\n" for line in lines)
+
+    def _encode(self, scored: ScoredBatch) -> tuple[list[str], list[str]]:
+        """The batch's JSONL rows and, per row, the ``scores`` object
+        inside it."""
+        layout = _score_layout(scored.codes)
+        block = scored.matrix[:, layout.order]
+        scores = _scores_json(
+            layout,
+            list(map(tuple, block.tolist())),
+            bool(np.isfinite(block).all()),
+        )
+        return self._lines(
+            scored.urls, scored.best_codes, scored.positives, scores
+        ), scores
+
+    def _lines(
+        self,
+        urls: Sequence[str],
+        best: Sequence[str | None],
+        positives: Sequence[tuple[str, ...]],
+        scores: Sequence[str],
+    ) -> list[str]:
+        tail = (
+            f',"model":{_json_string(self.provenance)}}}'
+            if self.provenance else "}"
+        )
+        return [
+            f'{{"url":{_json_string(url)},'
+            f'"best":{"null" if label is None else _json_string(label)},'
+            f'"positives":{_json_codes(codes)},"scores":{row}{tail}'
+            for url, label, codes, row in zip(urls, best, positives, scores)
+        ]
 
 
 class CsvSink(RowSink):
@@ -163,16 +296,34 @@ class SqliteSink(JsonlSink):
     same bytes, same shard sha256s — so the manifest resume/verify
     story is untouched and an interrupted sqlite run can even be
     resumed as ``jsonl`` (or vice versa, modulo the manifest's sink
-    check).  What changes is engine-side: after every shard commit the
-    engine ingests the committed output into ``results.sqlite`` in the
-    run directory, and reconciles the database against the manifest at
-    the end of the run (:func:`repro.query.ingest.index_run`).
-    Workers never touch the database; ingestion is parent-only, so the
-    scoring hot path pays nothing.
+    check).  What changes is engine-side: each worker also stages the
+    rows it formats (:meth:`format_indexed`) in a private per-shard
+    file, after every shard commit the engine copies those rows into
+    ``results.sqlite`` in the run directory with SQL alone, and at the
+    end of the run it reconciles the database against the manifest
+    (:func:`repro.query.ingest.index_run`).  Workers never touch the
+    result database itself; only the engine parent writes it.
     """
 
     # Engine-side flag: maintain the result index for this run.
     indexes_results: ClassVar[bool] = True
+
+    def format_indexed(
+        self, scored: ScoredBatch
+    ) -> tuple[str, tuple[list, ...]]:
+        """:meth:`format_batch`'s text plus the same rows as result-index
+        columns ``(url, best, score, positives, scores)`` — ``scores``
+        is the exact ``scores`` text of each JSONL row — ready for
+        :meth:`repro.query.ingest.RowStager.add`."""
+        lines, scores = self._encode(scored)
+        columns = (
+            scored.urls,
+            scored.best_codes,
+            scored.best_scores,
+            [",".join(codes) for codes in scored.positives],
+            scores,
+        )
+        return "".join(line + "\n" for line in lines), columns
 
 
 #: Registered sink formats, by CLI name.
@@ -217,6 +368,18 @@ class SummaryAccumulator:
         for language in prediction.positives:
             code = language.value
             self.positives[code] = self.positives.get(code, 0) + 1
+
+    def observe_batch(self, scored: ScoredBatch) -> None:
+        """Count one scored chunk from its ``best_codes`` and
+        ``positives`` columns."""
+        self.rows += len(scored.urls)
+        for label, count in Counter(scored.best_codes).items():
+            label = label or "und"
+            self.best[label] = self.best.get(label, 0) + count
+        for code, count in Counter(
+            itertools.chain.from_iterable(scored.positives)
+        ).items():
+            self.positives[code] = self.positives.get(code, 0) + count
 
     def merge(self, other: "SummaryAccumulator") -> None:
         self.rows += other.rows

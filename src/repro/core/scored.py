@@ -90,6 +90,17 @@ class ScoredBatch:
             matrix[:, column] = scores[language]
         return cls(urls, languages, matrix)
 
+    @classmethod
+    def of(cls, predictor, urls: Sequence[str]) -> "ScoredBatch":
+        """Score ``urls`` with any predictor: its own :meth:`scored`
+        when it has one (every :class:`~repro.core.pipeline.IdentifierBase`
+        does), else its ``scores_many`` dict wrapped by
+        :meth:`from_scores`."""
+        scored = getattr(predictor, "scored", None)
+        if scored is not None:
+            return scored(urls)
+        return cls.from_scores(urls, predictor.scores_many(urls))
+
     @functools.cached_property
     def codes(self) -> tuple[str, ...]:
         """ISO codes of :attr:`languages`, in scorer order."""
@@ -118,6 +129,19 @@ class ScoredBatch:
         """:attr:`best` as ISO codes (the wire and TSV form)."""
         labels = self.codes + (None,)
         return [labels[column] for column in self._best_columns]
+
+    @property
+    def best_scores(self) -> list[float | None]:
+        """Per row, the top score, or ``None`` where :attr:`best` is."""
+        columns = self._best_columns
+        if not self.languages:
+            return [None] * len(columns)
+        rows = np.arange(len(columns))
+        top = self.matrix[rows, np.asarray(columns, dtype=np.intp)].tolist()
+        return [
+            None if column < 0 else score
+            for column, score in zip(columns, top)
+        ]
 
     @functools.cached_property
     def positives(self) -> list[tuple[str, ...]]:

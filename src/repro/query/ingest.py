@@ -20,6 +20,15 @@ which is what makes the killed-and-resumed database **identical** to
 an uninterrupted run's: row ids are deterministic
 (shard ordinal × 2³² + row ordinal), row payloads are the committed
 bytes, and reconciliation converges on the manifest.
+
+Rows reach :func:`ingest_shard` one of two ways.  During a sqlite-sink
+run, the worker that scored a shard has already written the rows it
+formatted into a private staging file (:class:`RowStager`), and the
+engine passes that file as ``staged=``: the shard then goes in with
+one ``INSERT … SELECT`` per table, parsing nothing.  Everywhere else —
+resume, the end-of-run reconcile, ``repro query index`` — no staging
+file exists and the committed text is parsed, as the text shards are
+the checksummed source of truth either way.
 """
 
 from __future__ import annotations
@@ -27,9 +36,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import sqlite3
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,9 +53,11 @@ from repro.query.schema import (
     create_result_db,
     resolve_db_path,
 )
+from repro.testing import faults
 
 __all__ = [
     "IngestReport",
+    "RowStager",
     "index_fingerprint",
     "index_run",
     "ingest_shard",
@@ -222,6 +235,86 @@ def insert_rows(
     return count
 
 
+#: Page cache of a staging file, in KiB.  Each chunk commits on its
+#: own, so a worker's staging memory stays this size however large
+#: the shard.
+STAGE_CACHE_KIB = 256
+
+
+class RowStager:
+    """A worker's staging file of one shard's result rows.
+
+    One plain table, ``rows(id, url, best, score, positives,
+    scores)``, with ``id`` the row's ordinal within the shard and no
+    index: the file is written once, read once by
+    :func:`ingest_shard` (``staged=``), and then deleted.  It runs with
+    journal and sync off — a torn staging file is never read, because
+    the engine only ingests files named by a completion record, and
+    sweeps every other ``*.part.*`` file at startup.
+    """
+
+    def __init__(self, path: str | os.PathLike) -> None:
+        self.path = Path(path)
+        self.path.unlink(missing_ok=True)
+        self._connection = sqlite3.connect(self.path, isolation_level=None)
+        self._connection.execute("PRAGMA journal_mode=OFF")
+        self._connection.execute("PRAGMA synchronous=OFF")
+        self._connection.execute(f"PRAGMA cache_size=-{STAGE_CACHE_KIB}")
+        self._connection.execute(
+            "CREATE TABLE rows (id INTEGER PRIMARY KEY, url TEXT NOT NULL, "
+            "best TEXT, score REAL, positives TEXT NOT NULL, "
+            "scores TEXT NOT NULL)"
+        )
+        self.rows = 0
+
+    def add(
+        self,
+        urls: Sequence[str],
+        best: Sequence[str | None],
+        score: Sequence[float | None],
+        positives: Sequence[str],
+        scores: Sequence[str],
+    ) -> None:
+        """Append one chunk's rows, given as columns, in one transaction."""
+        first = self.rows
+        self._connection.execute("BEGIN")
+        self._connection.executemany(
+            "INSERT INTO rows VALUES (?, ?, ?, ?, ?, ?)",
+            zip(itertools.count(first), urls, best, score, positives, scores),
+        )
+        self._connection.execute("COMMIT")
+        self.rows += len(urls)
+
+    def close(self) -> None:
+        self._connection.close()
+
+    def discard(self) -> None:
+        """Close and delete the file (the shard did not commit)."""
+        self.close()
+        self.path.unlink(missing_ok=True)
+
+
+def _insert_staged(
+    connection: sqlite3.Connection, ordinal: int, shard_id: str
+) -> int:
+    """Copy the attached ``staged`` file's rows in (table + FTS) at
+    deterministic ids.  Caller owns the transaction."""
+    base = ordinal * ROW_ID_STRIDE
+    rows = connection.execute(
+        "INSERT INTO results"
+        "(id, url, best, score, positives, scores, shard_id) "
+        "SELECT ? + id, url, best, score, positives, scores, ? "
+        "FROM staged.rows ORDER BY id",
+        (base, shard_id),
+    ).rowcount
+    connection.execute(
+        "INSERT INTO results_fts(rowid, url) "
+        "SELECT ? + id, url FROM staged.rows ORDER BY id",
+        (base,),
+    )
+    return rows
+
+
 def _drop_shard(connection: sqlite3.Connection, shard_id: str) -> None:
     """Remove one shard's rows from the table and the FTS index.
 
@@ -257,30 +350,54 @@ def ingest_shard(
     shard_id: str,
     output_path: str | os.PathLike,
     sha256: str,
+    staged: str | os.PathLike | None = None,
 ) -> int:
     """Ingest one committed shard output — one atomic transaction.
 
     Idempotent: a shard already recorded under the same sha256 is a
     no-op; a stale recording (the shard was re-scored) is replaced
-    wholesale.  Returns the rows ingested (0 when skipped).
+    wholesale.  ``staged`` names the :class:`RowStager` file the worker
+    wrote beside the output: when it exists the rows are copied from it
+    with ``INSERT … SELECT``, otherwise the output text is parsed.  The
+    staging file is deleted whatever happens — ingested, skipped or
+    rolled back.  Returns the rows ingested (0 when skipped).
     """
-    current = connection.execute(
-        "SELECT sha256 FROM shards WHERE shard_id = ?", (shard_id,)
-    ).fetchone()
-    if current is not None and current[0] == sha256:
-        return 0
-    output_path = Path(output_path)
-    with connection:
-        _drop_shard(connection, shard_id)
-        rows = insert_rows(
-            connection, ordinal, shard_id, _shard_rows(output_path)
-        )
-        connection.execute(
-            "INSERT INTO shards(shard_id, ordinal, output, sha256, rows) "
-            "VALUES (?, ?, ?, ?, ?)",
-            (shard_id, ordinal, output_path.name, sha256, rows),
-        )
-        _refresh_fingerprint(connection)
+    staged = Path(staged) if staged is not None else None
+    try:
+        current = connection.execute(
+            "SELECT sha256 FROM shards WHERE shard_id = ?", (shard_id,)
+        ).fetchone()
+        if current is not None and current[0] == sha256:
+            return 0
+        output_path = Path(output_path)
+        if staged is not None and staged.exists():
+            connection.execute("ATTACH DATABASE ? AS staged", (str(staged),))
+        else:
+            staged = None
+        try:
+            with connection:
+                _drop_shard(connection, shard_id)
+                if staged is None:
+                    rows = insert_rows(
+                        connection, ordinal, shard_id,
+                        _shard_rows(output_path),
+                    )
+                else:
+                    rows = _insert_staged(connection, ordinal, shard_id)
+                connection.execute(
+                    "INSERT INTO shards"
+                    "(shard_id, ordinal, output, sha256, rows) "
+                    "VALUES (?, ?, ?, ?, ?)",
+                    (shard_id, ordinal, output_path.name, sha256, rows),
+                )
+                _refresh_fingerprint(connection)
+                faults.maybe_raise("ingest-error", shard=shard_id)
+        finally:
+            if staged is not None:
+                connection.execute("DETACH DATABASE staged")
+    finally:
+        if staged is not None:
+            staged.unlink(missing_ok=True)
     return rows
 
 

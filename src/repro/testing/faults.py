@@ -84,6 +84,7 @@ FAULT_POINTS = (
     "slow-handler",   # daemon dispatch sleeps `seconds` before answering
     "commit-error",   # bulk shard commit raises ENOSPC before rename
     "predict-error",  # bulk scoring pass raises (drives per-row retry)
+    "ingest-error",   # result-index shard ingest raises before commit
 )
 
 #: Spec keys that are matchers against call-site context.

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import json
+import sqlite3
 
 import pytest
 
@@ -107,13 +108,16 @@ class TestRowQuarantine:
             bulk.run(model_path, shard_dir, tmp_path / "run",
                      workers=1, quarantine=False)
 
+    @pytest.mark.parametrize("sink", ["tsv", "jsonl", "sqlite"])
     def test_poisoned_url_quarantined_after_per_row_retry(
-        self, bulk_model, corpus, reference_rows, tmp_path, monkeypatch
+        self, bulk_model, corpus, reference_rows, tmp_path, monkeypatch,
+        sink,
     ):
         """A row that makes predict itself blow up: the chunk fails,
         the per-row retry isolates the poison row, everything else in
-        the chunk still scores."""
-        model_path, _ = bulk_model
+        the chunk still scores — in every sink, and for the sqlite sink
+        the index holds exactly the rows that were not quarantined."""
+        model_path, identifier = bulk_model
         shard_dir, urls = corpus
         poison_dir = tmp_path / "poison-shards"
         poison_dir.mkdir()
@@ -126,10 +130,19 @@ class TestRowQuarantine:
         )
         run_dir = tmp_path / "run"
         report = bulk.run(model_path, poison_dir, run_dir, workers=1,
-                          chunk_size=16)
+                          chunk_size=16, sink=sink)
         assert report.rows_scored == 20
         assert report.rows_quarantined == 1
-        assert output_rows(report) == reference_rows[:20]
+        if sink == "tsv":
+            assert output_rows(report) == reference_rows[:20]
+        else:
+            lines = output_rows(report)
+            stamp = json.loads(lines[0])["model"]
+            row_sink = bulk.make_sink(sink, provenance=stamp)
+            assert lines == [
+                row_sink.format(prediction)
+                for prediction in identifier.predict(urls[:20])
+            ]
 
         manifest = json.loads((run_dir / "manifest.json").read_text())
         entry = manifest["shards"]["part-00.txt"]
@@ -137,6 +150,19 @@ class TestRowQuarantine:
         assert quarantined["url"] == "http://POISON.example/boom"
         assert "per-row retry" in quarantined["reason"]
         assert "injected fault" in quarantined["reason"]
+
+        if sink == "sqlite":
+            connection = sqlite3.connect(run_dir / "results.sqlite")
+            try:
+                indexed = [
+                    url for (url,) in connection.execute(
+                        "SELECT url FROM results ORDER BY id"
+                    )
+                ]
+            finally:
+                connection.close()
+            assert indexed == list(urls[:20])
+            assert not list(run_dir.glob("*.part.*"))
 
 
 class TestCommitFaults:
