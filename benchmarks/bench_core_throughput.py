@@ -166,6 +166,25 @@ def test_nb_prediction_throughput_compiled_cold(benchmark, context, urls, record
     record(benchmark, "nb_words_prediction_compiled_cold", len(urls))
 
 
+def test_nb_prediction_throughput_compiled_cold_single(
+    benchmark, context, urls, record
+):
+    """The per-call fixed cost of the compiled pipeline: 200 calls of one
+    never-seen URL each (the per-URL crawler path, ``predict_languages``),
+    row memo cleared every round."""
+    identifier = context.pool.get("NB", "words")
+    assert identifier.compiled is not None
+    singles = [[url] for url in urls[:200]]
+
+    def run():
+        identifier.compiled._row_cache.clear()
+        return [identifier.decisions(single) for single in singles]
+
+    decisions = benchmark(run)
+    assert len(decisions) == len(singles)
+    record(benchmark, "nb_words_prediction_compiled_cold_single", len(singles))
+
+
 def test_re_prediction_throughput_compiled(benchmark, context, urls, record):
     identifier = context.pool.get("RE", "words")
     assert identifier.compiled is not None

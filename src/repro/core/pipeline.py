@@ -59,6 +59,7 @@ from __future__ import annotations
 import abc
 import itertools
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from operator import itemgetter
 
 import numpy as np
 
@@ -84,6 +85,7 @@ from repro.features.indexer import (
     build_fused_plan,
 )
 from repro.languages import LANGUAGES, Language
+from repro.obs.trace import stage
 
 #: Valid values for ``LanguageIdentifier(backend=...)``.
 BACKENDS = ("auto", "compiled", "sparse")
@@ -112,6 +114,59 @@ def make_extractor(name: str, **kwargs) -> FeatureExtractor:
 
 #: Interned rows memoized per URL by :meth:`CompiledIdentifier.batch`.
 ROW_CACHE_SIZE = 1 << 16
+
+#: One memoized row: its feature ids (int64) and values (float64) as raw
+#: bytes, and its ``(name, value)`` residuals.
+MemoRow = tuple[bytes, bytes, tuple[tuple[str, float], ...]]
+
+
+def _memoize(cache: dict[str, MemoRow], urls: list[str], fresh: CsrBatch) -> None:
+    """Store each row of ``fresh`` (one per URL of ``urls``) in ``cache``.
+
+    A row is two slices of the sub-batch's byte buffers, so it owns its
+    bytes: nothing pins the sub-batch arrays, and a memo row costs two
+    small ``bytes`` objects rather than two ndarrays.
+    """
+    ids = fresh.indices.tobytes()
+    values = fresh.data.tobytes()
+    bounds = (fresh.indptr * 8).tolist()
+    residuals: list[tuple[tuple[str, float], ...]] = [()] * len(urls)
+    for row, group in itertools.groupby(fresh.residuals, key=itemgetter(0)):
+        residuals[row] = tuple((name, value) for _, name, value in group)
+    slices = list(map(slice, bounds[:-1], bounds[1:]))
+    cache.update(
+        zip(
+            urls,
+            zip(
+                map(ids.__getitem__, slices),
+                map(values.__getitem__, slices),
+                residuals,
+            ),
+        )
+    )
+
+
+def _assemble(rows: list[MemoRow], n_features: int) -> CsrBatch:
+    """The CSR batch of memoized ``rows``, in order, over fresh arrays."""
+    ids, values, residuals = zip(*rows) if rows else ((), (), ())
+    indptr = np.fromiter(
+        itertools.accumulate(map(len, ids), initial=0),
+        dtype=np.int64,
+        count=len(rows) + 1,
+    )
+    indptr >>= 3
+    return CsrBatch(
+        indptr=indptr,
+        indices=np.frombuffer(bytearray().join(ids), dtype=np.int64),
+        data=np.frombuffer(bytearray().join(values), dtype=np.float64),
+        n_features=n_features,
+        residuals=[
+            (row, name, value)
+            for row, entries in enumerate(residuals)
+            if entries
+            for name, value in entries
+        ],
+    )
 
 
 class CompiledIdentifier:
@@ -179,10 +234,12 @@ class CompiledIdentifier:
         self._fused_plan: FusedExtractionPlan | None = build_fused_plan(
             self.extractor, self.indexer
         )
-        self._row_caches: dict[
-            str,
-            dict[str, tuple[np.ndarray, np.ndarray, tuple[tuple[str, float], ...]]],
-        ] = {"fused": {}, "reference": {}}
+        self._row_caches: dict[str, dict[str, MemoRow]] = {
+            "fused": {},
+            "reference": {},
+        }
+        self._memo_hits = 0
+        self._memo_misses = 0
         self._extraction = "fused" if self._fused_plan is not None else "reference"
 
     @property
@@ -204,22 +261,24 @@ class CompiledIdentifier:
         self._extraction = mode
 
     @property
-    def _row_cache(
-        self,
-    ) -> dict[str, tuple[np.ndarray, np.ndarray, tuple[tuple[str, float], ...]]]:
+    def _row_cache(self) -> dict[str, MemoRow]:
         """The active backend's per-URL interned-row memo."""
         return self._row_caches[self._extraction]
 
     @property
     def cache_info(self) -> dict:
         """Occupancy of the interned-row memo (``rows`` cached of
-        ``capacity``) plus the active extraction backend.  Long-lived
+        ``capacity``), the active extraction backend, and the memo's
+        cumulative ``hits``/``misses`` (URLs answered from the memo and
+        distinct URLs extracted, over both backends).  Long-lived
         serving processes surface this in their status output so
         operators can see the memo warm up."""
         return {
             "rows": len(self._row_cache),
             "capacity": ROW_CACHE_SIZE,
             "extraction": self._extraction,
+            "hits": self._memo_hits,
+            "misses": self._memo_misses,
         }
 
     @property
@@ -256,14 +315,19 @@ class CompiledIdentifier:
         """Extract and intern a batch of URLs into CSR form.
 
         URLs seen before are served from the interned-row memo; only the
-        cache misses pay extraction + interning (in one sub-batch).  Once
-        the batch is assembled, the oldest rows beyond
-        :data:`ROW_CACHE_SIZE` are evicted in one pass: deleting them one
-        ``next(iter(cache))`` at a time would rescan every slot earlier
-        evictions emptied, which made each eviction cost O(capacity).
+        cache misses pay extraction + interning (in one sub-batch).  The
+        batch is then reassembled from the memo's byte rows with one
+        ``join`` per array, so the arrays returned are always private,
+        writable copies.  Once the batch is assembled, the oldest rows
+        beyond :data:`ROW_CACHE_SIZE` are evicted in one pass: deleting
+        them one ``next(iter(cache))`` at a time would rescan every slot
+        earlier evictions emptied, which made each eviction cost
+        O(capacity).
         """
         cache = self._row_cache
-        missing = list(dict.fromkeys(url for url in urls if url not in cache))
+        missing = list(itertools.filterfalse(cache.__contains__, dict.fromkeys(urls)))
+        self._memo_hits += len(urls) - len(missing)
+        self._memo_misses += len(missing)
         if missing:
             if self._extraction == "fused" and self._fused_plan is not None:
                 fresh = self.indexer.rows_fused(missing, self._fused_plan)
@@ -271,58 +335,20 @@ class CompiledIdentifier:
                 fresh = self.indexer.transform(
                     self.extractor.extract_many(missing)
                 )
-            fresh_residuals: dict[int, list[tuple[str, float]]] = {}
-            for row, name, value in fresh.residuals:
-                fresh_residuals.setdefault(row, []).append((name, value))
-            bounds = fresh.indptr.tolist()
-            for row, url in enumerate(missing):
-                start, stop = bounds[row], bounds[row + 1]
-                # Copies, not views: a view would pin the whole sub-batch
-                # allocation for as long as any one row stays cached.
-                cache[url] = (
-                    fresh.indices[start:stop].copy(),
-                    fresh.data[start:stop].copy(),
-                    tuple(fresh_residuals.get(row, ())),
-                )
-
-        indptr = np.empty(len(urls) + 1, dtype=np.int64)
-        indptr[0] = 0
-        id_blocks: list[np.ndarray] = []
-        value_blocks: list[np.ndarray] = []
-        residuals: list[tuple[int, str, float]] = []
-        total = 0
-        for row, url in enumerate(urls):
-            ids, values, row_residuals = cache[url]
-            id_blocks.append(ids)
-            value_blocks.append(values)
-            total += len(ids)
-            indptr[row + 1] = total
-            for name, value in row_residuals:
-                residuals.append((row, name, value))
-        if id_blocks:
-            indices = np.concatenate(id_blocks)
-            data = np.concatenate(value_blocks)
-        else:
-            indices = np.empty(0, dtype=np.int64)
-            data = np.empty(0, dtype=np.float64)
+            _memoize(cache, missing, fresh)
+        batch = _assemble(list(map(cache.__getitem__, urls)), len(self.indexer))
         excess = len(cache) - ROW_CACHE_SIZE
         if excess > 0:
             for url in list(itertools.islice(cache, excess)):
                 del cache[url]
-        return CsrBatch(
-            indptr=indptr,
-            indices=indices,
-            data=data,
-            n_features=len(self.indexer),
-            residuals=residuals,
-        )
+        return batch
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         # Memos are transient and the fused plan's intern tables are
         # cheap to rebuild from the indexer — keep pickles small.
-        state.pop("_row_caches", None)
-        state.pop("_fused_plan", None)
+        for transient in ("_row_caches", "_fused_plan", "_memo_hits", "_memo_misses"):
+            state.pop(transient, None)
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -340,8 +366,6 @@ class CompiledIdentifier:
         ``matmul``) for :mod:`repro.obs` span capture — a no-op unless
         the serving daemon is recording a traced request.
         """
-        from repro.obs.trace import stage
-
         with stage("extract"):
             batch = self.batch(urls)
         with stage("matmul"):

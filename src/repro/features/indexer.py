@@ -22,18 +22,69 @@ extractors emit positive counts only.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
+from itertools import repeat
 
 import numpy as np
 
 from repro.features.vectorizer import Vocabulary
-from repro.urls.tokenizer import tokenize_bytes_cached
+from repro.urls.tokenizer import (
+    BATCH_SEPARATOR,
+    DROPPED_RUNS,
+    tokenize_batch_bytes,
+)
 from repro.urls.trigrams import (
     N_TRIGRAM_CODES,
     decode_trigram_code,
+    pack_token_buffer,
     sliding_trigram_codes,
     trigram_code,
 )
+
+#: What the fused intern lookups return for a batch-stream item that is
+#: not an interned feature: an out-of-vocabulary token, a run that is no
+#: token (a special word or a single letter, Section 3.1), or the
+#: separator between two URLs.
+_OOV, _DROPPED, _SEPARATOR = -1, -2, -3
+
+#: The stream items that are never features, with their markers.
+_NOT_TOKENS: dict[bytes, int] = {
+    **dict.fromkeys(DROPPED_RUNS, _DROPPED),
+    BATCH_SEPARATOR: _SEPARATOR,
+}
+
+
+def _first_occurrences(
+    rows: np.ndarray, ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where each distinct ``(row, id)`` pair first occurs, in position
+    order, and how often it occurs (float64).
+
+    ``rows`` must be non-decreasing, as in a batch stream.  One value
+    sort of ``id * n + position`` lists every id's positions in order,
+    so the copies of a pair sit next to each other; each group's size is
+    scattered back to the position of its first member, which restores
+    first-occurrence order without a second sort.  Ids are interned
+    feature ids, below the vocabulary size ``V``, so the key stays
+    below ``V * n`` and fits int64 for any batch that fits in memory.
+    """
+    n = len(ids)
+    at = ids * n
+    at += np.arange(n)
+    at.sort()
+    at %= n
+    grouped_ids = ids[at]
+    grouped_rows = rows[at]
+    edges = np.empty(n + 1, dtype=bool)
+    edges[0] = edges[n] = True
+    np.not_equal(grouped_ids[1:], grouped_ids[:-1], out=edges[1:n])
+    edges[1:n] |= grouped_rows[1:] != grouped_rows[:-1]
+    bounds = edges.nonzero()[0]
+    tally = np.zeros(n, dtype=np.float64)
+    tally[at[bounds[:-1]]] = bounds[1:] - bounds[:-1]
+    positions = tally.nonzero()[0]
+    return positions, tally[positions]
 
 
 class CsrBatch:
@@ -70,7 +121,8 @@ class CsrBatch:
         """Row id of every stored entry (``len == nnz``), memoized."""
         if self._row_ids is None:
             self._row_ids = np.repeat(
-                np.arange(self.n_rows, dtype=np.int64), np.diff(self.indptr)
+                np.arange(self.n_rows, dtype=np.int64),
+                self.indptr[1:] - self.indptr[:-1],
             )
         return self._row_ids
 
@@ -214,78 +266,73 @@ class FeatureIndexer:
         Produces *exactly* the batch ``transform(extractor.extract_many
         (urls))`` would — same entry order (first occurrence within each
         row, so float summation order and therefore compiled scores stay
-        bit-identical), same residuals — but tokenises at the byte level
-        and interns trigrams through one vectorised table gather for the
-        whole batch.  Feature-name strings are materialised only for
-        out-of-vocabulary residuals.
+        bit-identical), same residuals — in one pass over the whole
+        batch: one byte buffer tokenises every URL
+        (:func:`~repro.urls.tokenizer.tokenize_batch_bytes`), words
+        intern through one dict lookup per letter run and trigrams
+        through one table gather, and repeats within a row merge through
+        one sort.  Out-of-vocabulary entries merge through one
+        :class:`~collections.Counter`, and feature-name strings are
+        materialised only for them.
         """
         if not self._fitted:
             raise RuntimeError("FeatureIndexer.rows_fused called before fit")
-        if plan.n_features != len(self._vocabulary):
+        n_features = len(self._vocabulary)
+        if plan.n_features != n_features:
             raise ValueError(
                 "fused plan was built for a different vocabulary "
-                f"({plan.n_features} features, indexer has {len(self._vocabulary)})"
+                f"({plan.n_features} features, indexer has {n_features})"
             )
-        indptr = np.empty(len(urls) + 1, dtype=np.int64)
-        indptr[0] = 0
-        indices: list[int] = []
-        data: list[float] = []
-        residuals: list[tuple[int, str, float]] = []
-        push_index = indices.append
-        push_value = data.append
+        items = tokenize_batch_bytes(urls)
         prefix = plan.prefix
-        if plan.kind == "words":
-            token_id = plan.token_ids.get  # type: ignore[union-attr]
-            for row, url in enumerate(urls):
-                vector: dict[bytes, float] = {}
-                for token in tokenize_bytes_cached(url):
-                    vector[token] = vector.get(token, 0.0) + 1.0
-                for token, count in vector.items():
-                    feature_id = token_id(token)
-                    if feature_id is None:
-                        residuals.append(
-                            (row, prefix + token.decode("ascii"), count)
-                        )
-                    else:
-                        push_index(feature_id)
-                        push_value(count)
-                indptr[row + 1] = len(indices)
+        words = plan.kind == "words"
+        lookup = plan.token_ids if words else _NOT_TOKENS
+        marks = np.fromiter(
+            map(lookup.get, items, repeat(_OOV, len(items))),  # type: ignore[union-attr]
+            dtype=np.int64,
+            count=len(items),
+        )
+        tokens_at = (marks >= _OOV).nonzero()[0]
+        # A token's row is the number of separators before it.
+        rows = (marks == _SEPARATOR).nonzero()[0].searchsorted(tokens_at)
+        if words:
+            ids = marks[tokens_at]
+            oov_at = (ids == _OOV).nonzero()[0]
+            oov_keys = map(items.__getitem__, tokens_at[oov_at].tolist())
+
+            def name_of(token: bytes) -> str:
+                return prefix + token.decode("ascii")
         else:
-            tokens_per_url = [tokenize_bytes_cached(url) for url in urls]
-            buffer = b"".join(
-                b" " + b" ".join(tokens) + b" " for tokens in tokens_per_url
+            tokens = list(map(items.__getitem__, tokens_at.tolist()))
+            # A token of n letters yields exactly n trigrams, in order.
+            rows = rows.repeat(
+                np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
             )
-            codes = sliding_trigram_codes(buffer)
-            ids = plan.trigram_table[codes]  # type: ignore[index]
-            code_list = codes.tolist()
-            id_list = ids.tolist()
-            position = 0
-            for row, tokens in enumerate(tokens_per_url):
-                stop = position + sum(map(len, tokens))
-                accumulator: dict[int, list] = {}
-                get_entry = accumulator.get
-                while position < stop:
-                    code = code_list[position]
-                    entry = get_entry(code)
-                    if entry is None:
-                        accumulator[code] = [id_list[position], 1.0]
-                    else:
-                        entry[1] += 1.0
-                    position += 1
-                for code, (feature_id, count) in accumulator.items():
-                    if feature_id < 0:
-                        residuals.append(
-                            (row, prefix + decode_trigram_code(code), count)
-                        )
-                    else:
-                        push_index(feature_id)
-                        push_value(count)
-                indptr[row + 1] = len(indices)
+            codes = sliding_trigram_codes(pack_token_buffer(tokens))
+            ids = plan.trigram_table[codes].astype(np.int64)  # type: ignore[index]
+            oov_at = (ids < 0).nonzero()[0]
+            oov_keys = codes[oov_at].tolist()
+
+            def name_of(code: int) -> str:
+                return prefix + decode_trigram_code(code)
+
+        # Out-of-vocabulary entries are residuals.  Counting their
+        # (row, token) pairs in stream order merges repeats within a row
+        # and keeps rows ascending, each in first-occurrence order.
+        oov_counts = Counter(zip(rows[oov_at].tolist(), oov_keys))
+        residuals = [
+            (row, name_of(key), float(value))
+            for (row, key), value in oov_counts.items()
+        ]
+        interned_at = (ids >= 0).nonzero()[0]
+        rows = rows[interned_at]
+        ids = ids[interned_at]
+        positions, counts = _first_occurrences(rows, ids)
         return CsrBatch(
-            indptr=indptr,
-            indices=np.asarray(indices, dtype=np.int64),
-            data=np.asarray(data, dtype=np.float64),
-            n_features=len(self._vocabulary),
+            indptr=rows[positions].searchsorted(np.arange(len(urls) + 1)),
+            indices=ids[positions],
+            data=counts,
+            n_features=n_features,
             residuals=residuals,
         )
 
@@ -300,7 +347,10 @@ class FusedExtractionPlan:
 
     Built once per (extractor, indexer) pair by :func:`build_fused_plan`;
     consumed by :meth:`FeatureIndexer.rows_fused`.  For word features the
-    table is a ``bytes token -> id`` dict; for trigram features it is a
+    table is a ``bytes token -> id`` dict that also maps the letter runs
+    that are no tokens (special words, single letters) and the batch
+    separator to negative markers, so one lookup per stream item both
+    interns and filters; for trigram features it is a
     dense ``27**3`` int32 array indexed by the base-27 trigram code
     (``-1`` marks out-of-vocabulary codes), which lets the whole batch's
     vocabulary lookup run as a single numpy gather.
@@ -349,6 +399,7 @@ def build_fused_plan(
             token = name[len(prefix) :]
             if token.isascii() and token.isalpha() and token.islower():
                 token_ids[token.encode("ascii")] = feature_id
+        token_ids.update(_NOT_TOKENS)
         return FusedExtractionPlan(
             kind="words",
             prefix=prefix,

@@ -251,6 +251,15 @@ def render_prometheus(status: dict) -> str:
                    "evicted older ones).")
         out.sample("repro_trace_spans_total", {}, traces.get("recorded"))
     caches = status.get("caches") or {}
+    rows = caches.get("interned_rows") or {}
+    out.family("repro_interned_rows_hits_total", "counter",
+               "URLs answered from the interned-row memo in the answering "
+               "process.")
+    out.sample("repro_interned_rows_hits_total", {}, rows.get("hits"))
+    out.family("repro_interned_rows_misses_total", "counter",
+               "Distinct URLs extracted on an interned-row memo miss in the "
+               "answering process.")
+    out.sample("repro_interned_rows_misses_total", {}, rows.get("misses"))
     tokenizer = caches.get("tokenizer") or {}
     out.family("repro_tokenizer_cache_hits_total", "counter",
                "Tokenizer memo hits in the answering process.")

@@ -100,17 +100,25 @@ def record_stage(name: str, seconds: float) -> None:
         sink[name] = sink.get(name, 0.0) + seconds
 
 
-@contextlib.contextmanager
-def stage(name: str) -> Iterator[None]:
+#: What :func:`stage` returns when nothing is capturing.
+_IDLE = contextlib.nullcontext()
+
+
+def stage(name: str) -> contextlib.AbstractContextManager[None]:
     """Time the enclosed block into stage ``name`` of the active span.
 
-    A no-op (one context-variable read) when nothing is capturing, so
-    hot paths can be instrumented unconditionally.
+    A no-op (one context-variable read and a shared null context) when
+    nothing is capturing, so hot paths can be instrumented
+    unconditionally.
     """
     sink = _stages.get()
     if sink is None:
-        yield
-        return
+        return _IDLE
+    return _timed(sink, name)
+
+
+@contextlib.contextmanager
+def _timed(sink: dict[str, float], name: str) -> Iterator[None]:
     started = time.perf_counter()
     try:
         yield

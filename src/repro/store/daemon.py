@@ -13,8 +13,8 @@ wrong for a crawler fleet that wants an answer per frontier expansion.
   ``classify`` / ``score`` / ``decisions`` requests with the
   length-prefixed JSON protocol of :mod:`repro.store.wire`; each worker
   keeps its :class:`~repro.store.artifact.ServingIdentifier` alive
-  across requests, so the memoized tokenizer and the interned-row cache
-  warm up once and stay warm;
+  across requests, so the interned-row memo warms up once and stays
+  warm;
 * ``--http`` additionally serves the same operations over plain HTTP
   (stdlib :mod:`http.server` only) for curl-friendly probing and
   load-balancer health checks;
@@ -607,15 +607,12 @@ class ServingDaemon:
         state = self._state
         identifier = state.identifier
         compiled = identifier.compiled
-        from repro.urls.tokenizer import tokenize_bytes_cached, tokenize_cached
+        from repro.urls.tokenizer import tokenize_cached
 
-        # The memo of whichever tokenizer the active extraction backend
-        # calls: byte tokens for the fused plan, str tokens otherwise.
-        tokenizer = (
-            tokenize_bytes_cached if compiled.extraction == "fused"
-            else tokenize_cached
-        )
-        cache_info = tokenizer.cache_info()
+        # The reference backend's token memo.  The fused backend
+        # tokenises whole batches without a memo; its repeats show in
+        # the interned-row memo's hits instead.
+        cache_info = tokenize_cached.cache_info()
         return {
             "pid": os.getpid(),
             "role": "worker" if self._is_worker else "parent",
@@ -932,7 +929,8 @@ class ServingDaemon:
             with stage("encode"):
                 frame = encode_frame(message, correlation_id=correlation_id,
                                      trace_id=trace_id, span_id=span_id)
-            send_all(connection, frame)
+            with stage("send"):
+                send_all(connection, frame)
             return True
         except FrameTooLargeError as error:
             # The *response* outgrew the frame cap (a batch near the

@@ -12,8 +12,9 @@ tokenises to ``['internetwordstats', 'com', 'africa']``.
 
 from __future__ import annotations
 
+import itertools
 import re
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 
 #: Words removed from every token stream (Section 3.1).
@@ -76,8 +77,8 @@ def tokenize_bytes(url: str) -> list[bytes]:
     UTF-8 sequence is ``>= 0x80``, so the ``[a-z]+`` runs of the encoded
     buffer are exactly the ``[a-z]+`` runs of the lowered string — the
     fused extraction path (:meth:`repro.features.indexer.FeatureIndexer
-    .rows_fused`) tokenises here and never materialises ``str`` tokens
-    for in-vocabulary features.
+    .rows_fused`) relies on this, through :func:`tokenize_batch_bytes`,
+    and never materialises ``str`` tokens for in-vocabulary features.
     """
     tokens = _LETTER_RUN_BYTES.findall(encode_lowered(url))
     min_length = MIN_TOKEN_LENGTH
@@ -89,9 +90,50 @@ def tokenize_bytes(url: str) -> list[bytes]:
     ]
 
 
-#: Entries kept by the memoized tokenizer.  Crawler frontiers and the
-#: benchmark harness re-tokenise the same URLs many times; the web-scale
-#: triage path (see :mod:`repro.features.indexer`) goes through the cache.
+#: The item between two URLs' tokens in a :func:`tokenize_batch_bytes`
+#: stream.  The byte ``0xff`` never occurs in UTF-8 (``surrogatepass``
+#: included), so no URL can produce it.
+BATCH_SEPARATOR = b"\xff"
+
+# Byte translation for the batch tokeniser: a-z and the separator map to
+# themselves, every other byte to a space.
+_LETTERS_ONLY = bytes(
+    byte if byte in range(0x61, 0x7B) or byte == 0xFF else 0x20
+    for byte in range(256)
+)
+
+
+def tokenize_batch_bytes(urls: Sequence[str]) -> list[bytes]:
+    """Letter runs of a whole batch, from one buffer in two C passes.
+
+    The URLs are lowered and encoded into one buffer joined by
+    :data:`BATCH_SEPARATOR`; one ``translate`` turns every non-letter
+    byte into a space and one ``split`` cuts the runs out.  The stream
+    holds every URL's ``[a-z]+`` runs in order, with one separator
+    between consecutive URLs, so the row of an item is the number of
+    separators before it.  Unlike :func:`tokenize_bytes` it *keeps*
+    runs shorter than :data:`MIN_TOKEN_LENGTH` and the
+    :data:`SPECIAL_WORDS_BYTES`; the fused extractor drops them while
+    interning (:data:`DROPPED_RUNS`).
+
+    Each URL goes through :func:`encode_lowered`, so every code point
+    lowers exactly as the string path lowers it (the Kelvin sign).
+    """
+    buffer = b" \xff ".join(map(encode_lowered, urls))
+    return buffer.translate(_LETTERS_ONLY).split()
+
+
+#: Letter runs :func:`tokenize` never returns as tokens: the special
+#: words and every run shorter than :data:`MIN_TOKEN_LENGTH`.
+DROPPED_RUNS: frozenset[bytes] = SPECIAL_WORDS_BYTES | frozenset(
+    bytes(letters)
+    for length in range(1, MIN_TOKEN_LENGTH)
+    for letters in itertools.product(range(0x61, 0x7B), repeat=length)
+)
+
+
+#: Entries kept by each memoized tokenizer.  Crawler frontiers and the
+#: benchmark harness re-tokenise the same URLs many times.
 TOKEN_CACHE_SIZE = 1 << 16
 
 
@@ -109,11 +151,10 @@ def tokenize_cached(url: str) -> tuple[str, ...]:
 def tokenize_bytes_cached(url: str) -> tuple[bytes, ...]:
     """Memoized :func:`tokenize_bytes` returning a shared tuple.
 
-    Deliberately a *separate* memo from :func:`tokenize_cached`: the
-    fused and reference extraction paths must never read each other's
-    cache entries, so a process that alternates backends cannot
-    cross-contaminate (the entries are provably equal, but keeping the
-    keyspaces disjoint makes the isolation structural, not incidental).
+    A *separate* memo from :func:`tokenize_cached`.  The fused
+    extraction path does not use it: it tokenises whole batches with
+    :func:`tokenize_batch_bytes`, and the interned-row memo above it
+    catches every repeated URL.
     """
     return tuple(tokenize_bytes(url))
 

@@ -9,10 +9,16 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from repro.corpus.records import Corpus, LabeledUrl
 from repro.datasets import build_datasets
 from repro.languages import Language
+
+#: ``pytest --hypothesis-profile=ci``: more examples for the property
+#: suites CI runs a second time (extraction parity and the batch
+#: extractor), and no per-example deadline on shared runners.
+settings.register_profile("ci", max_examples=500, deadline=None)
 
 #: Conservative cross-platform bound on AF_UNIX's ``sun_path`` (Linux
 #: allows 107 usable bytes, the BSDs 103); kept lower so daemon sidecar

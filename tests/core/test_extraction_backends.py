@@ -4,9 +4,10 @@ The per-URL interned-row memo of :class:`CompiledIdentifier` is keyed by
 URL, and both extraction backends produce (provably equal) rows for the
 same URL — so a single shared memo would *work* until the day a fast-path
 bug let one backend poison the other's answers.  The backends therefore
-own disjoint memos (and disjoint tokenizer caches), and these regression
-tests alternate backends in one process to pin that isolation down,
-along with the routing/fallback and pickling behaviour around it.
+own disjoint memos (and only the reference backend uses a tokenizer
+memo), and these regression tests alternate backends in one process to
+pin that isolation down, along with the routing/fallback and pickling
+behaviour around it.
 """
 
 from __future__ import annotations
@@ -72,6 +73,9 @@ class TestBackendAlternation:
         compiled.extraction = "fused"
 
     def test_tokenizer_memos_are_separate(self, fitted, small_bundle):
+        """Fused traffic tokenises whole batches and leaves both token
+        memos flat; it shows in the interned-row memo's counters.  The
+        reference backend alone fills the string-token memo."""
         compiled = fitted.compiled
         urls = [
             url + "/memo-isolation"
@@ -81,13 +85,19 @@ class TestBackendAlternation:
         compiled._row_caches["fused"].clear()
         compiled._row_caches["reference"].clear()
         compiled.extraction = "fused"
+        before = compiled.cache_info
         compiled.decisions(urls)
-        # The fused path never touches the string-token memo.
+        compiled.decisions(urls)
+        after = compiled.cache_info
         assert tokenize_cached.cache_info().currsize == 0
-        assert tokenize_bytes_cached.cache_info().currsize >= len(urls)
+        assert tokenize_bytes_cached.cache_info().currsize == 0
+        assert after["misses"] - before["misses"] == len(urls)
+        assert after["hits"] - before["hits"] == len(urls)
         compiled.extraction = "reference"
         compiled.decisions(urls)
         assert tokenize_cached.cache_info().currsize >= len(urls)
+        assert tokenize_bytes_cached.cache_info().currsize == 0
+        assert compiled.cache_info["misses"] - after["misses"] == len(urls)
         compiled.extraction = "fused"
 
     def test_invalid_mode_rejected(self, fitted):

@@ -4,10 +4,11 @@
   byte-identical to frames encoded from the per-URL walk the daemon
   used before the score matrix stayed columnar.
 * A traced request's ``dispatch`` stage is covered by its children
-  (``extract``, ``matmul``, ``drift``, ``materialise``), and ``respond``
-  carries the ``encode`` stage.
-* The status block's and ``/metrics``' tokenizer-cache counters follow
-  the memo of the active (fused) extraction backend.
+  (``extract``, ``matmul``, ``drift``, ``materialise``), and its
+  ``respond`` stage by ``encode`` and ``send``.
+* Fused traffic shows in the interned-row memo's hit/miss counters, in
+  the status block and on ``/metrics``, and leaves the tokenizer-cache
+  counters flat.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import pipeline
 from repro.core.pipeline import LanguageIdentifier
 from repro.store import load_identifier, save_identifier
 from repro.store.client import DaemonClient
@@ -124,26 +124,42 @@ def test_dispatch_children_cover_the_dispatch_stage(daemon, op):
     assert statistics.median(coverages) >= 0.9, coverages
 
 
-def test_tokenizer_cache_counts_the_fused_memo(model_path, sockpath, monkeypatch):
-    """With the row memo emptied after every batch, repeated URLs reach
-    the tokenizer memo, so its hits must show — over the socket (the
-    worker's status) and on ``/metrics`` (the parent's HTTP path).
-    Counts are compared as deltas: a forked daemon inherits the memo
-    counters of the process that started it."""
-    monkeypatch.setattr(pipeline, "ROW_CACHE_SIZE", 0)  # the fork inherits it
+@pytest.mark.parametrize("op", ["classify", "score"])
+def test_respond_children_cover_the_respond_stage(daemon, op):
+    coverages = []
+    with DaemonClient(daemon, tracing=True) as client:
+        for seed in range(3):
+            urls = adversarial_urls(1000, seed=(300 if op == "classify" else 400) + seed)
+            getattr(client, op)(urls)
+            trace_id = client.last_trace["trace_id"]
+            (span,) = [s for s in client.traces() if s["trace"] == trace_id]
+            stages = span["stages_ms"]
+            coverages.append((stages["encode"] + stages["send"]) / stages["respond"])
+    assert statistics.median(coverages) >= 0.9, coverages
+
+
+def test_fused_traffic_counts_in_the_row_memo(model_path, sockpath):
+    """The fused backend tokenises whole batches without a token memo:
+    a repeated batch is a row-memo hit.  Over the socket (the worker's
+    status) and on ``/metrics`` (the parent's HTTP path) the row memo's
+    counters move by one miss, then one hit, per URL, and the tokenizer
+    counters stay flat.  Counts are compared as deltas: a forked daemon
+    inherits the counters of the process that started it."""
     socket_path = sockpath("tok.sock")
     urls = [f"http://www.tokenmemo{i}.example.fr/seite/{i}" for i in range(40)]
     start_daemon(model_path, socket_path, workers=1, http_port=0)
     try:
         with DaemonClient(socket_path) as client:
-            before = client.status()["caches"]["tokenizer"]
+            before = client.status()["caches"]
             client.classify(urls)
             client.classify(urls)
             status = client.status()
-        assert status["caches"]["interned_rows"]["extraction"] == "fused"
-        after = status["caches"]["tokenizer"]
-        assert after["misses"] - before["misses"] == len(urls)
-        assert after["hits"] - before["hits"] == len(urls)
+        after = status["caches"]
+        assert after["interned_rows"]["extraction"] == "fused"
+        for series in ("hits", "misses"):
+            moved = after["interned_rows"][series] - before["interned_rows"][series]
+            assert moved == len(urls), series
+            assert after["tokenizer"][series] == before["tokenizer"][series]
 
         base = f"http://127.0.0.1:{status['http_port']}"
 
@@ -163,7 +179,9 @@ def test_tokenizer_cache_counts_the_fused_memo(model_path, sockpath, monkeypatch
                 assert response.status == 200
         second = scrape()
         for series in ("hits", "misses"):
-            name = f"repro_tokenizer_cache_{series}_total"
+            name = f"repro_interned_rows_{series}_total"
             assert second[name] - first[name] == len(urls), series
+            name = f"repro_tokenizer_cache_{series}_total"
+            assert second[name] == first[name], series
     finally:
         stop_daemon(socket_path)
