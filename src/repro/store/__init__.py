@@ -50,7 +50,6 @@ from repro.store.client import (
     DaemonRequestError,
     DaemonUnavailableError,
     RemoteIdentifier,
-    resolve_serving_handle,
 )
 from repro.store.daemon import ServingDaemon, start_daemon, stop_daemon
 from repro.store.format import (
@@ -88,7 +87,6 @@ __all__ = [
     "ServingIdentifier",
     "is_artifact",
     "load_identifier",
-    "resolve_serving_handle",
     "save_identifier",
     "score_batch",
     "score_urls",

@@ -1,27 +1,32 @@
 """Client side of the serving daemon: sockets in, identifiers out.
 
-Three layers, thinnest first:
+One core, two shells (the sans-I/O pattern,
+https://sans-io.readthedocs.io/):
 
-* :class:`DaemonClient` — one persistent connection to a running
-  :mod:`repro.store.daemon`, speaking the length-prefixed JSON protocol
-  of :mod:`repro.store.wire`.  Survives daemon hot reloads by
-  transparently reconnecting once per request.
-* :class:`RemoteIdentifier` — adapts a :class:`DaemonClient` to the
-  :class:`~repro.core.pipeline.IdentifierBase` surface, so anything that
-  consumes an identifier (the focused crawler, ``evaluate``, the CLI)
-  can point at a daemon instead of loading weights into its own
-  process.
-* :func:`resolve_serving_handle` — deprecated shim over
-  :func:`repro.api.open_model`, which is how ``repro://<socket-path>``
-  handle strings resolve everywhere now (the CLI, the crawler, the
-  examples all go through the facade).
+* The core does no I/O.  :class:`~repro.store.wire.FrameDecoder` parses
+  every frame either client reads.  :class:`_Call` holds one logical
+  request's :class:`RetryPolicy`, deadline and attempt count, encodes
+  each attempt's frame, and turns each outcome into a decision: return
+  the response, back off and retry on a fresh connection, or raise.
+  Endpoint parsing, the ``handle`` string, result decoding and the
+  remote capability block are written once, for both shells.
+* :class:`DaemonClient` is the blocking socket shell (one request at a
+  time per connection, ``time.sleep`` backoff).
+  :class:`AsyncDaemonClient` is the asyncio shell: concurrent callers
+  share one connection, paired by correlation id (``asyncio.sleep``
+  backoff).
+* :class:`RemoteIdentifier` and :class:`AsyncRemoteIdentifier` adapt the
+  shells to the identifier surfaces; ``repro://`` handle strings resolve
+  to them through :func:`repro.api.open_model` and
+  :func:`repro.api.aopen_model`.
 
 Error taxonomy: :class:`DaemonUnavailableError` means nothing answered
 (daemon not started, crashed, or wrong socket path) — callers may retry
 or fall back to loading the artifact themselves.
-:class:`DaemonRequestError` means a live daemon *refused* the request
-and carries the protocol error ``code``.  Refusals in
-:data:`~repro.store.wire.RETRYABLE_CODES` (``overloaded``,
+:class:`DaemonRequestError` means the request was refused — by a live
+daemon, or before any dial when it cannot be framed
+(``frame-too-large``) — and carries the protocol error ``code``.
+Refusals in :data:`~repro.store.wire.RETRYABLE_CODES` (``overloaded``,
 ``shutting-down``) are retried *inside* the client by its
 :class:`RetryPolicy` before this error ever surfaces — so by the time a
 caller sees it, the retry budget is spent and looping further is
@@ -30,33 +35,33 @@ pointless.
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
 import os
 import random
 import socket
 import time
-import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.api.resolver import daemon_socket_path, is_daemon_handle
+from repro.api.types import Capabilities, ModelInfo
 from repro.core.pipeline import IdentifierBase
 from repro.core.scored import ScoredBatch, ServedUrl
-from repro.languages import Language
+from repro.languages import LANGUAGES, Language
 from repro.obs.trace import start_trace
 from repro.store.wire import (
     MAX_CORRELATION_ID,
     PROTOCOL_VERSION,
     RETRYABLE_CODES,
     ConnectionClosed,
+    Frame,
+    FrameTooLargeError,
     WireError,
     encode_frame,
     read_frame_async,
     recv_frame_ex,
-    send_message,
+    send_all,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only
-    import asyncio
 
 #: Operations safe to replay: pure reads whose repetition cannot change
 #: daemon state.  ``reload`` and ``stop`` are excluded — replaying a
@@ -81,7 +86,8 @@ class DaemonUnavailableError(DaemonError):
 
 
 class DaemonRequestError(DaemonError):
-    """A live daemon refused the request.
+    """The request was refused: by a live daemon, or by the client
+    before dialing when it cannot be framed (``frame-too-large``).
 
     ``code`` is one of :data:`repro.store.wire.ERROR_CODES`; retrying
     the identical request will fail identically, so callers should fix
@@ -153,25 +159,8 @@ def is_handle(value) -> bool:
     return is_daemon_handle(value)
 
 
-class DaemonClient:
-    """One connection to a serving daemon, reconnecting across reloads.
-
-    The connection is opened lazily on the first request and kept for
-    the client's lifetime (a daemon worker serves any number of
-    requests per connection).  Transient failures — a connection closed
-    by a hot-reload handover or a crashed worker, a typed
-    ``overloaded`` or ``shutting-down`` refusal — are retried on a
-    fresh connection under the client's :class:`RetryPolicy` (jittered
-    exponential backoff, idempotent operations only) before surfacing
-    :class:`DaemonUnavailableError` / :class:`DaemonRequestError`.
-    A daemon that was never there fails fast: connection *refusal* is
-    not retried.
-
-    Use as a context manager or call :meth:`close` when done::
-
-        with DaemonClient("repro.sock") as client:
-            rows = client.classify(["http://www.blumen.de/garten"])
-    """
+class _ClientBase:
+    """What both shells share: the endpoint, the policy, the trace slot."""
 
     def __init__(
         self,
@@ -202,12 +191,11 @@ class DaemonClient:
         self.protocol_version = protocol_version
         self.retry = RetryPolicy() if retry is None else retry
         self.tracing = bool(tracing)
-        #: Ids of the most recent traced round-trip: ``trace_id``, the
-        #: client's ``span_id``, and the daemon's echoed
+        #: Ids of the most recently answered traced request: ``trace_id``,
+        #: the client's ``span_id``, and the daemon's echoed
         #: ``server_span_id`` (``None`` until the first traced request,
         #: or when the daemon predates tracing and echoes nothing).
         self.last_trace: dict | None = None
-        self._sock: socket.socket | None = None
 
     @property
     def handle(self) -> str:
@@ -216,41 +204,174 @@ class DaemonClient:
             return f"repro+tcp://{self.endpoint}"
         return f"repro://{self.socket_path}"
 
+    def _unavailable(self, error: Exception) -> DaemonUnavailableError:
+        """The error for an endpoint that refused the dial."""
+        start = "repro serve start" + (" --tcp" if self.tcp_address else "")
+        return DaemonUnavailableError(
+            f"no serving daemon on {self.endpoint!r} ({error}); "
+            f"start one with '{start}'"
+        )
+
+
+class _Call:
+    """One logical request's retry state machine, with no I/O of its own.
+
+    A shell loops: it sends :meth:`next_frame`'s bytes, then hands the
+    reply to :meth:`answered` or the transport failure to :meth:`failed`.
+    ``answered`` returns the success response; otherwise, and when
+    ``failed`` returns, a retry is due: the shell drops its connection,
+    sleeps :meth:`backoff` seconds and loops.  Terminal outcomes raise
+    :class:`DaemonRequestError` or :class:`DaemonUnavailableError`.
+    """
+
+    def __init__(self, client: _ClientBase, op: str, fields: dict) -> None:
+        self.client = client
+        self.op = op
+        self.fields = fields
+        self.policy = client.retry
+        self.expires = (
+            time.monotonic() + self.policy.deadline
+            if self.policy.deadline is not None else None
+        )
+        self.attempt = 0
+        self.trace = None
+
+    def next_frame(self, correlation_id: int | None = None) -> bytes:
+        """Wire bytes of the next attempt.
+
+        Encoded before the shell dials, so a request that cannot be
+        framed fails terminally (``frame-too-large``) with no connection
+        and no sleep.  Retried attempts carry an ``attempt`` field so the
+        daemon's robustness counters see them; each carries the deadline
+        budget that remains.
+        """
+        self.attempt += 1
+        message = {"v": self.client.protocol_version, "op": self.op,
+                   **self.fields}
+        if self.attempt > 1:
+            message["attempt"] = self.attempt
+        deadline_ms = None
+        if self.expires is not None:
+            deadline_ms = max(0, int((self.expires - time.monotonic()) * 1000))
+        self.trace = start_trace() if self.client.tracing else None
+        try:
+            return encode_frame(
+                message,
+                deadline_ms,
+                correlation_id,
+                trace_id=self.trace.trace_id if self.trace else None,
+                span_id=self.trace.span_id if self.trace else None,
+            )
+        except FrameTooLargeError as error:
+            raise DaemonRequestError("frame-too-large", str(error)) from None
+
+    def answered(self, frame: Frame) -> dict | None:
+        """The success response, or ``None`` when a retry is due."""
+        if self.trace is not None:
+            self.client.last_trace = {
+                "trace_id": self.trace.trace_id,
+                "span_id": self.trace.span_id,
+                "server_span_id": frame.span_id,
+            }
+        response = frame.message
+        if response.get("ok"):
+            return response
+        error_block = response.get("error", {})
+        code = error_block.get("code", "internal")
+        if code in RETRYABLE_CODES and self._may_retry():
+            # A draining worker closes after this answer; an overloaded
+            # daemon wants us elsewhere.  Either way the retry belongs on
+            # a fresh connection.
+            return None
+        raise DaemonRequestError(
+            code=code,
+            message=error_block.get("message", "daemon returned an error"),
+        )
+
+    def failed(self, error: Exception) -> None:
+        """The connection died mid-attempt: returns when a retry is due,
+        raises :class:`DaemonUnavailableError` otherwise."""
+        if not self._may_retry():
+            raise DaemonUnavailableError(
+                f"serving daemon on {self.client.endpoint!r} stopped "
+                f"answering ({error})"
+            ) from None
+
+    def _may_retry(self) -> bool:
+        if self.op not in IDEMPOTENT_OPS or self.attempt > self.policy.retries:
+            return False
+        return self.expires is None or time.monotonic() < self.expires
+
+    def backoff(self) -> float:
+        """Seconds to sleep before the next attempt."""
+        return self.policy.delay(self.attempt)
+
+
+def _served_urls(response: dict) -> list[ServedUrl]:
+    """The rows of a ``classify`` answer, in input order."""
+    return [
+        ServedUrl(url=row["url"], best=row["best"],
+                  positives=tuple(row["positives"]))
+        for row in response["results"]
+    ]
+
+
+def _by_code(response: dict, key: str) -> dict[str, list]:
+    """A ``score``/``decisions`` answer's per-language columns."""
+    return {code: list(values) for code, values in response[key].items()}
+
+
+def _limit_fields(limit: int | None) -> dict:
+    return {} if limit is None else {"limit": int(limit)}
+
+
+class DaemonClient(_ClientBase):
+    """One connection to a serving daemon, reconnecting across reloads.
+
+    The blocking shell over the request core.  The connection is opened
+    lazily on the first request and kept for the client's lifetime (a
+    daemon worker serves any number of requests per connection).
+    Transient failures — a connection closed by a hot-reload handover
+    or a crashed worker, a typed ``overloaded`` or ``shutting-down``
+    refusal — are retried on a fresh connection under the client's
+    :class:`RetryPolicy` (jittered exponential backoff, idempotent
+    operations only) before surfacing :class:`DaemonUnavailableError` /
+    :class:`DaemonRequestError`.  A daemon that was never there fails
+    fast: connection *refusal* is not retried.
+
+    Use as a context manager or call :meth:`close` when done::
+
+        with DaemonClient("repro.sock") as client:
+            rows = client.classify(["http://www.blumen.de/garten"])
+    """
+
+    _sock: socket.socket | None = None
+
     # -- connection management ----------------------------------------------------
 
     def _connect(self) -> socket.socket:
-        if self.tcp_address is not None:
-            try:
+        sock = None
+        try:
+            if self.tcp_address is not None:
                 sock = socket.create_connection(
                     self.tcp_address, timeout=self.timeout
                 )
-            except OSError as error:
-                raise DaemonUnavailableError(
-                    f"no serving daemon on {self.endpoint!r} ({error}); "
-                    "start one with 'repro serve start --tcp'"
-                ) from None
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock.settimeout(self.timeout)
-            return sock
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(self.timeout)
-        try:
-            sock.connect(self.socket_path)
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            else:
+                sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                sock.settimeout(self.timeout)
+                sock.connect(self.socket_path)
         except OSError as error:
-            sock.close()
-            raise DaemonUnavailableError(
-                f"no serving daemon on {self.endpoint!r} ({error}); "
-                "start one with 'repro serve start'"
-            ) from None
+            if sock is not None:
+                sock.close()
+            raise self._unavailable(error) from None
         return sock
 
     def close(self) -> None:
         """Drop the connection (the next request reconnects)."""
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            finally:
-                self._sock = None
+        sock, self._sock = self._sock, None
+        if sock is not None:
+            sock.close()
 
     def __enter__(self) -> "DaemonClient":
         return self
@@ -260,26 +381,11 @@ class DaemonClient:
 
     # -- request plumbing ---------------------------------------------------------
 
-    def _roundtrip(self, message: dict,
-                   deadline_ms: int | None = None) -> dict:
+    def _roundtrip(self, payload: bytes) -> Frame:
         if self._sock is None:
             self._sock = self._connect()
-        trace = start_trace() if self.tracing else None
-        send_message(
-            self._sock,
-            message,
-            deadline_ms=deadline_ms,
-            trace_id=trace.trace_id if trace is not None else None,
-            span_id=trace.span_id if trace is not None else None,
-        )
-        frame = recv_frame_ex(self._sock)
-        if trace is not None:
-            self.last_trace = {
-                "trace_id": trace.trace_id,
-                "span_id": trace.span_id,
-                "server_span_id": frame.span_id,
-            }
-        return frame.message
+        send_all(self._sock, payload)
+        return recv_frame_ex(self._sock)
 
     def request(self, op: str, **fields) -> dict:
         """Issue one ``op`` request and return the success response.
@@ -288,65 +394,26 @@ class DaemonClient:
         is idempotent: transport errors (the worker that held our
         connection crashed or retired in a hot reload — a fresh
         connection reaches its replacement) and typed refusals in
-        :data:`~repro.store.wire.RETRYABLE_CODES`.  Retried requests
-        carry an ``attempt`` field so the daemon's robustness counters
-        see them.
+        :data:`~repro.store.wire.RETRYABLE_CODES`.
 
         Raises :class:`DaemonRequestError` on a terminal refusal (or a
         retryable one that outlived the retry budget) and
         :class:`DaemonUnavailableError` when no daemon answers.
         """
-        policy = self.retry
-        idempotent = op in IDEMPOTENT_OPS
-        expires = (
-            time.monotonic() + policy.deadline
-            if policy.deadline is not None else None
-        )
-
-        def may_retry(attempt: int) -> bool:
-            if not idempotent or attempt > policy.retries:
-                return False
-            return expires is None or time.monotonic() < expires
-
-        attempt = 0
+        call = _Call(self, op, fields)
         while True:
-            attempt += 1
-            message = {"v": self.protocol_version, "op": op, **fields}
-            if attempt > 1:
-                message["attempt"] = attempt
-            deadline_ms = None
-            if expires is not None:
-                deadline_ms = max(
-                    0, int((expires - time.monotonic()) * 1000)
-                )
+            payload = call.next_frame()
             try:
-                response = self._roundtrip(message, deadline_ms=deadline_ms)
-            except (WireError, ConnectionClosed, OSError) as error:
+                frame = self._roundtrip(payload)
+            except (WireError, OSError) as error:
                 self.close()
-                if may_retry(attempt):
-                    time.sleep(policy.delay(attempt))
-                    continue
-                raise DaemonUnavailableError(
-                    f"serving daemon on {self.endpoint!r} stopped "
-                    f"answering ({error})"
-                ) from None
-            if response.get("ok"):
-                return response
-            error_block = response.get("error", {})
-            code = error_block.get("code", "internal")
-            if code in RETRYABLE_CODES and may_retry(attempt):
-                # A draining worker closes after this answer; an
-                # overloaded daemon wants us elsewhere.  Either way the
-                # retry belongs on a fresh connection.
+                call.failed(error)
+            else:
+                response = call.answered(frame)
+                if response is not None:
+                    return response
                 self.close()
-                time.sleep(policy.delay(attempt))
-                continue
-            raise DaemonRequestError(
-                code=code,
-                message=error_block.get(
-                    "message", "daemon returned an error"
-                ),
-            )
+            time.sleep(call.backoff())
 
     # -- the served operations ----------------------------------------------------
 
@@ -362,12 +429,7 @@ class DaemonClient:
     def classify(self, urls) -> list[ServedUrl]:
         """Batch triage: one :class:`~repro.store.serve.ServedUrl` per
         input URL, in input order (same rows ``repro classify`` prints)."""
-        response = self.request("classify", urls=list(urls))
-        return [
-            ServedUrl(url=row["url"], best=row["best"],
-                      positives=tuple(row["positives"]))
-            for row in response["results"]
-        ]
+        return _served_urls(self.request("classify", urls=list(urls)))
 
     def score(self, urls) -> dict[str, list[float]]:
         """Per-language decision scores, keyed by language code.
@@ -375,13 +437,12 @@ class DaemonClient:
         JSON transports floats via ``repr`` round-tripping, so scores
         arrive bit-identical to what the daemon's matmul produced.
         """
-        response = self.request("score", urls=list(urls))
-        return {code: list(values) for code, values in response["scores"].items()}
+        return _by_code(self.request("score", urls=list(urls)), "scores")
 
     def decisions(self, urls) -> dict[str, list[bool]]:
         """Per-language binary decisions, keyed by language code."""
-        response = self.request("decisions", urls=list(urls))
-        return {code: list(values) for code, values in response["decisions"].items()}
+        return _by_code(self.request("decisions", urls=list(urls)),
+                        "decisions")
 
     def traces(self, limit: int | None = None) -> list[dict]:
         """The daemon's most recent request spans, oldest first.
@@ -391,10 +452,7 @@ class DaemonClient:
         the answer covers the whole daemon, not just the worker that
         happens to hold this connection.  ``limit`` caps the answer to
         the newest N spans."""
-        fields: dict = {}
-        if limit is not None:
-            fields["limit"] = int(limit)
-        return list(self.request("traces", **fields)["traces"])
+        return list(self.request("traces", **_limit_fields(limit))["traces"])
 
     def reload(self) -> dict:
         """Ask the daemon to re-examine its artifact path (same effect
@@ -408,7 +466,55 @@ class DaemonClient:
         return self.request("stop")
 
 
-class RemoteIdentifier(IdentifierBase):
+def _remote_capabilities(status: dict, source: str):
+    """The :class:`repro.api.Predictor` capability block of a daemon's
+    model: backend ``"remote"`` (no weights in this process), provenance
+    from the daemon's status block."""
+    model = status.get("model", {})
+    rollout = model.get("rollout") or {}
+    return Capabilities(
+        model=ModelInfo(
+            name=model.get("name", "remote"),
+            backend="remote",
+            languages=tuple(LANGUAGES),
+            created_at=rollout.get("created_at"),
+            train_corpus=rollout.get("train_corpus"),
+            source=source,
+        ),
+        compiled=False,
+        remote=True,
+    )
+
+
+def _by_language(remote: dict) -> dict:
+    """Re-key a per-code daemon answer by :class:`Language`."""
+    return {Language.coerce(code): values for code, values in remote.items()}
+
+
+class _RemoteBase:
+    """What both remote identifiers share: a client of their shell and
+    the cached capability block."""
+
+    #: The shell :meth:`connect` dials with.
+    client_class: type
+
+    def __init__(self, client) -> None:
+        self.client = client
+        self._capabilities = None
+
+    @classmethod
+    def connect(cls, socket_path: "str | os.PathLike | tuple[str, int]",
+                timeout: float = 30.0,
+                retry: RetryPolicy | None = None,
+                tracing: bool = False):
+        """A remote identifier over a fresh client (``socket_path`` may
+        be a ``(host, port)`` TCP endpoint; ``tracing`` turns on
+        per-request trace ids)."""
+        return cls(cls.client_class(socket_path, timeout=timeout,
+                                    retry=retry, tracing=tracing))
+
+
+class RemoteIdentifier(_RemoteBase, IdentifierBase):
     """An :class:`~repro.core.pipeline.IdentifierBase` served by a daemon.
 
     Holds no weights: every batch call becomes one request over the
@@ -422,100 +528,68 @@ class RemoteIdentifier(IdentifierBase):
     model load.
     """
 
-    def __init__(self, client: DaemonClient) -> None:
-        self.client = client
-        self._name: str | None = None
-        self._capabilities = None
-
-    @classmethod
-    def connect(cls, socket_path: "str | os.PathLike | tuple[str, int]",
-                timeout: float = 30.0,
-                retry: RetryPolicy | None = None,
-                tracing: bool = False) -> "RemoteIdentifier":
-        """A remote identifier over a fresh :class:`DaemonClient`
-        (``socket_path`` may be a ``(host, port)`` TCP endpoint;
-        ``tracing`` turns on per-request trace ids)."""
-        return cls(DaemonClient(socket_path, timeout=timeout, retry=retry,
-                                tracing=tracing))
+    client_class = DaemonClient
 
     @property
     def name(self) -> str:
         """Report label of the model the daemon serves (fetched once)."""
-        if self._name is None:
-            self._name = self.client.status().get("model", {}).get(
-                "name", "remote"
-            )
-        return self._name
+        return self.capabilities().model.name
 
     def capabilities(self):
         """The :class:`repro.api.Predictor` capability block.
 
-        Backend is ``"remote"`` — no weights in this process — and the
-        provenance comes from the daemon's status block.  The block is
-        fetched once and cached, so the ``predict``/``predict_iter``
-        surface does not pay a status round-trip per batch; a stream
-        that spans a hot reload keeps reporting the provenance it
-        started with.  :meth:`close` drops the cache — call it (or ask
-        the daemon's status directly) for fresh provenance.
+        Fetched once from the daemon's status block and cached, so the
+        ``predict``/``predict_iter`` surface does not pay a status
+        round-trip per batch; a stream that spans a hot reload keeps
+        reporting the provenance it started with.  :meth:`close` drops
+        the cache — call it (or ask the daemon's status directly) for
+        fresh provenance.
         """
         if self._capabilities is None:
-            from repro.api.types import Capabilities, ModelInfo
-            from repro.languages import LANGUAGES
-
-            model = self.client.status().get("model", {})
-            rollout = model.get("rollout") or {}
-            self._capabilities = Capabilities(
-                model=ModelInfo(
-                    name=model.get("name", "remote"),
-                    backend="remote",
-                    languages=tuple(LANGUAGES),
-                    created_at=rollout.get("created_at"),
-                    train_corpus=rollout.get("train_corpus"),
-                    source=self.client.handle,
-                ),
-                compiled=False,
-                remote=True,
+            self._capabilities = _remote_capabilities(
+                self.client.status(), self.client.handle
             )
         return self._capabilities
 
     def close(self) -> None:
         """Drop the daemon connection (a later call reconnects) and
-        the cached name/capability block (a later call refetches, so a
+        the cached capability block (a later call refetches, so a
         hot-reloaded daemon's new provenance becomes visible)."""
-        self._name = None
         self._capabilities = None
         self.client.close()
 
     def decisions(self, urls):
-        remote = self.client.decisions(urls)
-        return {
-            Language.coerce(code): values for code, values in remote.items()
-        }
+        return _by_language(self.client.decisions(urls))
 
     def scores_many(self, urls):
-        remote = self.client.score(urls)
-        return {
-            Language.coerce(code): values for code, values in remote.items()
-        }
+        return _by_language(self.client.score(urls))
 
 
-class AsyncDaemonClient:
+class _AsyncClosing:
+    """``async with`` support for a class with an ``aclose`` coroutine."""
+
+    async def __aenter__(self):
+        return self
+
+    async def __aexit__(self, *exc_info) -> None:
+        await self.aclose()
+
+
+class AsyncDaemonClient(_AsyncClosing, _ClientBase):
     """Asyncio-native daemon client multiplexing one connection.
 
-    Where :class:`DaemonClient` serializes request/response pairs, this
-    client lets any number of coroutines issue requests concurrently
-    over **one** socket: every request frame carries a correlation id,
-    a single background reader task pairs incoming response frames back
+    The asyncio shell over the request core.  Where
+    :class:`DaemonClient` serializes request/response pairs, this client
+    lets any number of coroutines issue requests concurrently over
+    **one** socket: every request frame carries a correlation id, a
+    single background reader task pairs incoming response frames back
     to their awaiting callers, and writes are serialized so pipelined
     frames never interleave.  The daemon answers strictly in order, so
     one connection behaves like a FIFO pipeline — high fan-in
     concurrency without a connection per caller.
 
-    Retry semantics are :class:`RetryPolicy`'s, identical to the sync
-    client: idempotent ops only, transport errors and typed
-    ``overloaded``/``shutting-down`` refusals retried on a fresh
-    connection with jittered exponential backoff, the remaining
-    deadline budget propagated in each attempt's frame header.
+    Retry semantics are the sync client's — the same :class:`_Call`
+    decides every outcome — with ``asyncio.sleep`` backoff.
 
     Responses from servers that do not echo correlation ids are paired
     FIFO — correct because the protocol answers strictly in order.
@@ -526,100 +600,41 @@ class AsyncDaemonClient:
             rows = await client.aclassify(["http://www.blumen.de/garten"])
     """
 
-    def __init__(
-        self,
-        socket_path: "str | os.PathLike | tuple[str, int]",
-        timeout: float = 30.0,
-        protocol_version: int = PROTOCOL_VERSION,
-        retry: RetryPolicy | None = None,
-        tracing: bool = False,
-    ) -> None:
-        if isinstance(socket_path, tuple):
-            host, port = socket_path
-            self.socket_path: str | None = None
-            self.tcp_address: tuple[str, int] | None = (str(host), int(port))
-            self.endpoint = f"{host}:{port}"
-        else:
-            self.socket_path = os.fspath(socket_path)
-            self.tcp_address = None
-            self.endpoint = self.socket_path
-        self.timeout = timeout
-        self.protocol_version = protocol_version
-        self.retry = RetryPolicy() if retry is None else retry
-        self.tracing = bool(tracing)
-        #: Ids of the most recently *answered* traced request (the sync
-        #: client's :attr:`DaemonClient.last_trace`, under concurrency:
-        #: pipelined responses land in completion order).
-        self.last_trace: dict | None = None
-        self._reader: "asyncio.StreamReader | None" = None
-        self._writer: "asyncio.StreamWriter | None" = None
-        self._reader_task: "asyncio.Task | None" = None
-        self._pending: "dict[int, asyncio.Future]" = {}
-        self._sent_traces: dict = {}
-        self._connect_lock: "asyncio.Lock | None" = None
-        self._write_lock: "asyncio.Lock | None" = None
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._writer: asyncio.StreamWriter | None = None
+        self._reader_task: asyncio.Task | None = None
+        self._pending: dict[int, asyncio.Future] = {}
+        self._connect_lock = asyncio.Lock()
+        self._write_lock = asyncio.Lock()
         self._next_cid = 0
         #: Connections dialed over this client's lifetime — observability
         #: for tests and capacity planning (1 under pure multiplexing;
         #: +1 per retry-forced reconnect).
         self.connections_opened = 0
 
-    @property
-    def handle(self) -> str:
-        """The facade handle string this client's endpoint resolves from."""
-        if self.tcp_address is not None:
-            return f"repro+tcp://{self.endpoint}"
-        return f"repro://{self.socket_path}"
-
     # -- connection management ----------------------------------------------------
 
-    def _locks(self) -> "tuple[asyncio.Lock, asyncio.Lock]":
-        # Created lazily so the client can be constructed outside a
-        # running event loop.
-        import asyncio
-
-        if self._connect_lock is None:
-            self._connect_lock = asyncio.Lock()
-            self._write_lock = asyncio.Lock()
-        assert self._write_lock is not None
-        return self._connect_lock, self._write_lock
-
     async def _ensure_connected(self) -> None:
-        import asyncio
-
-        connect_lock, _ = self._locks()
-        async with connect_lock:
+        async with self._connect_lock:
             if self._writer is not None:
                 return
+            # asyncio turns Nagle off on TCP transports by itself.
+            dial = (asyncio.open_connection(*self.tcp_address)
+                    if self.tcp_address is not None
+                    else asyncio.open_unix_connection(self.socket_path))
             try:
-                if self.tcp_address is not None:
-                    reader, writer = await asyncio.wait_for(
-                        asyncio.open_connection(*self.tcp_address),
-                        self.timeout,
-                    )
-                    sock = writer.get_extra_info("socket")
-                    if sock is not None:
-                        sock.setsockopt(
-                            socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-                        )
-                else:
-                    assert self.socket_path is not None
-                    reader, writer = await asyncio.wait_for(
-                        asyncio.open_unix_connection(self.socket_path),
-                        self.timeout,
-                    )
+                reader, self._writer = await asyncio.wait_for(
+                    dial, self.timeout
+                )
             except (OSError, asyncio.TimeoutError) as error:
-                raise DaemonUnavailableError(
-                    f"no serving daemon on {self.endpoint!r} ({error}); "
-                    "start one with 'repro serve start'"
-                ) from None
-            self._reader, self._writer = reader, writer
+                raise self._unavailable(error) from None
             self.connections_opened += 1
             self._reader_task = asyncio.get_running_loop().create_task(
                 self._read_loop(reader)
             )
 
-    async def _read_loop(self, reader: "asyncio.StreamReader") -> None:
+    async def _read_loop(self, reader: asyncio.StreamReader) -> None:
         """Pair every incoming response frame with its awaiting caller.
 
         Runs until the connection dies, then fails every still-pending
@@ -632,45 +647,27 @@ class AsyncDaemonClient:
         try:
             while True:
                 frame = await read_frame_async(reader)
-                future = None
-                cid = None
-                if frame.correlation_id is not None:
-                    cid = frame.correlation_id
-                    future = self._pending.pop(cid, None)
-                elif self._pending:
+                cid = frame.correlation_id
+                if cid is None and self._pending:
                     # Id-less server (or a scripted test double): the
                     # strict in-order contract makes FIFO pairing exact.
                     cid = next(iter(self._pending))
-                    future = self._pending.pop(cid)
-                sent = self._sent_traces.pop(cid, None) if cid is not None else None
-                if sent is not None:
-                    self.last_trace = {
-                        "trace_id": sent.trace_id,
-                        "span_id": sent.span_id,
-                        "server_span_id": frame.span_id,
-                    }
+                future = self._pending.pop(cid, None)
                 if future is not None and not future.done():
-                    future.set_result(frame.message)
+                    future.set_result(frame)
         except (WireError, OSError) as error:
-            self._connection_lost(error)
+            self._disconnect(error)
 
-    def _connection_lost(self, error: Exception) -> None:
-        """Tear down state after the transport died under the reader."""
-        writer, self._writer, self._reader = self._writer, None, None
-        self._reader_task = None
+    def _disconnect(self, error: Exception) -> None:
+        """Forget the connection, close it, and fail every request still
+        waiting on it with ``error``."""
+        writer, self._writer, self._reader_task = self._writer, None, None
         if writer is not None:
             writer.close()
-        self._fail_pending(error)
-
-    def _fail_pending(self, error: Exception) -> None:
-        self._sent_traces.clear()
         pending, self._pending = self._pending, {}
         for future in pending.values():
             if not future.done():
-                future.set_exception(
-                    error if isinstance(error, WireError)
-                    else ConnectionClosed(str(error), clean=False)
-                )
+                future.set_exception(error)
 
     async def _drop_connection(self) -> None:
         """Voluntarily close (retry path / :meth:`aclose`).
@@ -679,30 +676,20 @@ class AsyncDaemonClient:
         a dirty :class:`ConnectionClosed` and retry under their own
         budgets — the same thing a daemon-side close would do to them.
         """
-        import asyncio
-        import contextlib
-
-        task, self._reader_task = self._reader_task, None
-        writer, self._writer, self._reader = self._writer, None, None
+        task, writer = self._reader_task, self._writer
+        self._disconnect(ConnectionClosed("connection dropped", clean=False))
         if task is not None and task is not asyncio.current_task():
             task.cancel()
             with contextlib.suppress(asyncio.CancelledError, Exception):
                 await task
         if writer is not None:
-            writer.close()
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
-        self._fail_pending(ConnectionClosed("connection dropped", clean=False))
 
     async def aclose(self) -> None:
         """Close the connection (a later request reconnects)."""
         await self._drop_connection()
 
-    async def __aenter__(self) -> "AsyncDaemonClient":
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.aclose()
 
     # -- request plumbing ---------------------------------------------------------
 
@@ -712,112 +699,46 @@ class AsyncDaemonClient:
             self._next_cid = (self._next_cid + 1) & MAX_CORRELATION_ID
         return self._next_cid
 
-    async def _roundtrip(self, message: dict,
-                         deadline_ms: int | None) -> dict:
-        import asyncio
-
+    async def _roundtrip(self, cid: int, payload: bytes) -> Frame:
         await self._ensure_connected()
-        _, write_lock = self._locks()
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future" = loop.create_future()
-        async with write_lock:
-            if self._writer is None:
-                raise ConnectionClosed("connection lost before send",
-                                       clean=False)
-            cid = self._claim_cid()
-            self._pending[cid] = future
-            trace = start_trace() if self.tracing else None
-            if trace is not None:
-                self._sent_traces[cid] = trace
-            try:
-                self._writer.write(
-                    encode_frame(
-                        message,
-                        deadline_ms,
-                        cid,
-                        trace_id=trace.trace_id if trace is not None else None,
-                        span_id=trace.span_id if trace is not None else None,
-                    )
-                )
-                await self._writer.drain()
-            except (OSError, ConnectionError) as error:
-                self._pending.pop(cid, None)
-                self._sent_traces.pop(cid, None)
-                raise ConnectionClosed(
-                    f"send failed: {error}", clean=False
-                ) from None
+        future = asyncio.get_running_loop().create_future()
         try:
+            async with self._write_lock:
+                if self._writer is None:
+                    raise ConnectionClosed("connection lost before send",
+                                           clean=False)
+                self._pending[cid] = future
+                self._writer.write(payload)
+                await self._writer.drain()
             return await asyncio.wait_for(future, self.timeout)
         except asyncio.TimeoutError:
-            self._pending.pop(cid, None)
-            self._sent_traces.pop(cid, None)
             raise TimeoutError(
                 f"no response within {self.timeout:.1f}s"
             ) from None
-        except asyncio.CancelledError:
-            # Caller cancelled mid-request: forget the id so the late
-            # response (already being computed) is dropped, not paired
-            # with some future request.
+        finally:
+            # A caller whose send failed, who timed out or who was
+            # cancelled forgets its id, so a late response is dropped,
+            # not paired with some future request.
             self._pending.pop(cid, None)
-            self._sent_traces.pop(cid, None)
-            raise
 
     async def request(self, op: str, **fields) -> dict:
-        """Async twin of :meth:`DaemonClient.request` — same retry
-        matrix, same error taxonomy, ``asyncio.sleep`` backoff."""
-        import asyncio
-
-        policy = self.retry
-        idempotent = op in IDEMPOTENT_OPS
-        expires = (
-            time.monotonic() + policy.deadline
-            if policy.deadline is not None else None
-        )
-
-        def may_retry(attempt: int) -> bool:
-            if not idempotent or attempt > policy.retries:
-                return False
-            return expires is None or time.monotonic() < expires
-
-        attempt = 0
+        """Async twin of :meth:`DaemonClient.request` — same core, same
+        retry matrix, same error taxonomy, ``asyncio.sleep`` backoff."""
+        call = _Call(self, op, fields)
         while True:
-            attempt += 1
-            message = {"v": self.protocol_version, "op": op, **fields}
-            if attempt > 1:
-                message["attempt"] = attempt
-            deadline_ms = None
-            if expires is not None:
-                deadline_ms = max(
-                    0, int((expires - time.monotonic()) * 1000)
-                )
+            cid = self._claim_cid()
+            payload = call.next_frame(cid)
             try:
-                response = await self._roundtrip(
-                    message, deadline_ms=deadline_ms
-                )
-            except (WireError, ConnectionClosed, OSError,
-                    TimeoutError) as error:
+                frame = await self._roundtrip(cid, payload)
+            except (WireError, OSError) as error:
                 await self._drop_connection()
-                if may_retry(attempt):
-                    await asyncio.sleep(policy.delay(attempt))
-                    continue
-                raise DaemonUnavailableError(
-                    f"serving daemon on {self.endpoint!r} stopped "
-                    f"answering ({error})"
-                ) from None
-            if response.get("ok"):
-                return response
-            error_block = response.get("error", {})
-            code = error_block.get("code", "internal")
-            if code in RETRYABLE_CODES and may_retry(attempt):
+                call.failed(error)
+            else:
+                response = call.answered(frame)
+                if response is not None:
+                    return response
                 await self._drop_connection()
-                await asyncio.sleep(policy.delay(attempt))
-                continue
-            raise DaemonRequestError(
-                code=code,
-                message=error_block.get(
-                    "message", "daemon returned an error"
-                ),
-            )
+            await asyncio.sleep(call.backoff())
 
     # -- the served operations ----------------------------------------------------
 
@@ -831,36 +752,23 @@ class AsyncDaemonClient:
 
     async def aclassify(self, urls) -> list[ServedUrl]:
         """Batch triage, one :class:`ServedUrl` per input URL in order."""
-        response = await self.request("classify", urls=list(urls))
-        return [
-            ServedUrl(url=row["url"], best=row["best"],
-                      positives=tuple(row["positives"]))
-            for row in response["results"]
-        ]
+        return _served_urls(await self.request("classify", urls=list(urls)))
 
     async def ascore(self, urls) -> dict[str, list[float]]:
         """Per-language decision scores, keyed by language code."""
-        response = await self.request("score", urls=list(urls))
-        return {
-            code: list(values)
-            for code, values in response["scores"].items()
-        }
+        return _by_code(await self.request("score", urls=list(urls)),
+                        "scores")
 
     async def adecisions(self, urls) -> dict[str, list[bool]]:
         """Per-language binary decisions, keyed by language code."""
-        response = await self.request("decisions", urls=list(urls))
-        return {
-            code: list(values)
-            for code, values in response["decisions"].items()
-        }
+        return _by_code(await self.request("decisions", urls=list(urls)),
+                        "decisions")
 
     async def atraces(self, limit: int | None = None) -> list[dict]:
         """The daemon's most recent request spans, oldest first
         (async twin of :meth:`DaemonClient.traces`)."""
-        fields: dict = {}
-        if limit is not None:
-            fields["limit"] = int(limit)
-        return list((await self.request("traces", **fields))["traces"])
+        response = await self.request("traces", **_limit_fields(limit))
+        return list(response["traces"])
 
     async def areload(self) -> dict:
         """Ask the daemon to re-examine its artifact path (SIGHUP)."""
@@ -871,7 +779,7 @@ class AsyncDaemonClient:
         return await self.request("stop")
 
 
-class AsyncRemoteIdentifier:
+class AsyncRemoteIdentifier(_AsyncClosing, _RemoteBase):
     """The :class:`repro.api.AsyncPredictor` surface over a daemon.
 
     The async twin of :class:`RemoteIdentifier`: holds no weights, one
@@ -882,21 +790,7 @@ class AsyncRemoteIdentifier:
     and async predictions over the same daemon are byte-identical.
     """
 
-    def __init__(self, client: AsyncDaemonClient) -> None:
-        self.client = client
-        self._capabilities = None
-
-    @classmethod
-    def connect(cls, socket_path: "str | os.PathLike | tuple[str, int]",
-                timeout: float = 30.0,
-                retry: RetryPolicy | None = None,
-                tracing: bool = False) -> "AsyncRemoteIdentifier":
-        """An async remote identifier over a fresh
-        :class:`AsyncDaemonClient` (``socket_path`` may be a
-        ``(host, port)`` TCP endpoint; ``tracing`` turns on
-        per-request trace ids)."""
-        return cls(AsyncDaemonClient(socket_path, timeout=timeout,
-                                     retry=retry, tracing=tracing))
+    client_class = AsyncDaemonClient
 
     @property
     def name(self) -> str:
@@ -908,36 +802,16 @@ class AsyncRemoteIdentifier:
     async def acapabilities(self):
         """Capability block (fetched once, cached like the sync twin)."""
         if self._capabilities is None:
-            from repro.api.types import Capabilities, ModelInfo
-            from repro.languages import LANGUAGES
-
-            model = (await self.client.astatus()).get("model", {})
-            rollout = model.get("rollout") or {}
-            self._capabilities = Capabilities(
-                model=ModelInfo(
-                    name=model.get("name", "remote"),
-                    backend="remote",
-                    languages=tuple(LANGUAGES),
-                    created_at=rollout.get("created_at"),
-                    train_corpus=rollout.get("train_corpus"),
-                    source=self.client.handle,
-                ),
-                compiled=False,
-                remote=True,
+            self._capabilities = _remote_capabilities(
+                await self.client.astatus(), self.client.handle
             )
         return self._capabilities
 
     async def adecisions(self, urls) -> dict:
-        remote = await self.client.adecisions(urls)
-        return {
-            Language.coerce(code): values for code, values in remote.items()
-        }
+        return _by_language(await self.client.adecisions(urls))
 
     async def ascores_many(self, urls) -> dict:
-        remote = await self.client.ascore(urls)
-        return {
-            Language.coerce(code): values for code, values in remote.items()
-        }
+        return _by_language(await self.client.ascore(urls))
 
     async def apredict(self, urls):
         """One score pass into a :class:`repro.api.BatchResult` — the
@@ -952,26 +826,3 @@ class AsyncRemoteIdentifier:
         """Drop the connection and the cached capability block."""
         self._capabilities = None
         await self.client.aclose()
-
-    async def __aenter__(self) -> "AsyncRemoteIdentifier":
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.aclose()
-
-
-def resolve_serving_handle(handle: str, timeout: float = 30.0) -> RemoteIdentifier:
-    """Deprecated: use :func:`repro.api.open_model` instead.
-
-    Resolves a ``repro://<socket-path>`` string to a remote identifier.
-    Unlike the facade, resolution here is lazy — no connection is
-    attempted until the first request, and a dead socket surfaces as
-    :class:`DaemonUnavailableError` on first use.
-    """
-    warnings.warn(
-        "resolve_serving_handle() is deprecated; use "
-        "repro.api.open_model(handle) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return RemoteIdentifier.connect(parse_handle(handle), timeout=timeout)

@@ -910,8 +910,7 @@ class ServingDaemon:
         surface as a dirty :class:`ConnectionClosed`, never as a parsed
         partial message or a hang.
         """
-        body = json.dumps(message, separators=(",", ":")).encode("utf-8")
-        frame = len(body).to_bytes(4, "big") + body
+        frame = encode_frame(message)
         try:
             connection.sendall(frame[: max(5, len(frame) // 2)])
         except OSError:

@@ -47,17 +47,19 @@ retrying the same request can only fail the same way).
 ``docs/serving.md`` is the authoritative prose spec and must list
 every code here.
 
-This module is dependency-free on purpose: the framing helpers are the
-*only* code shared between daemon and client, so a thin client can be
-vendored without pulling in the fork/signal machinery.
+Every peer decodes through :class:`FrameDecoder`, a parser with no I/O
+of its own, and encodes through :func:`encode_frame`.  The module is
+dependency-free on purpose: a thin client can be vendored without
+pulling in the fork/signal machinery.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import socket
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle / cost avoidance
     import asyncio
@@ -145,38 +147,6 @@ class ConnectionClosed(WireError):
         #: True when the close landed on a frame boundary — the normal
         #: end of a conversation, not a truncation.
         self.clean = clean
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    """Read exactly ``n`` bytes or raise :class:`ConnectionClosed`.
-
-    The raised error's ``clean`` flag is True when the peer closed
-    before sending *any* of the ``n`` bytes — a boundary, not a
-    truncation.  Callers mid-frame must override it to False.
-
-    EINTR: :pep:`475` makes ``recv`` retry interrupted syscalls
-    transparently, but a signal *handler* that raises (the daemon's
-    drain handlers are flag-setters, third-party handlers may not be)
-    surfaces ``InterruptedError`` anyway — so the loop retries it
-    explicitly rather than tearing a frame over a signal.  A
-    ``socket.timeout`` is never swallowed: half a frame after the
-    peer's send deadline means the peer is gone or wedged.
-    """
-    chunks: list[bytes] = []
-    remaining = n
-    while remaining:
-        try:
-            chunk = sock.recv(min(remaining, 1 << 20))
-        except InterruptedError:
-            continue
-        if not chunk:
-            raise ConnectionClosed(
-                f"peer closed with {remaining} of {n} bytes outstanding",
-                clean=(remaining == n),
-            )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
 
 
 def send_all(sock: socket.socket, payload: bytes) -> None:
@@ -285,10 +255,10 @@ def send_message(sock: socket.socket, message: dict,
     )
 
 
-def _decode_body(body: bytes) -> dict:
+def _decode_body(body: memoryview) -> dict:
     """Decode a frame body into the request/response object."""
     try:
-        message = json.loads(body.decode("utf-8"))
+        message = json.loads(str(body, "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise WireError(f"frame body is not valid JSON: {error}") from None
     if not isinstance(message, dict):
@@ -298,17 +268,91 @@ def _decode_body(body: bytes) -> dict:
     return message
 
 
-def _header_layout(prefix: bytes) -> tuple[int, bool, bool, bool]:
-    """Split the length word into ``(length, has_deadline, has_cid,
-    has_trace)``."""
-    word = int.from_bytes(prefix, "big")
-    length = word & ~_FLAG_MASK
-    if length > MAX_FRAME_BYTES:
-        raise FrameTooLargeError(
-            f"incoming frame announces {length} bytes; limit {MAX_FRAME_BYTES}"
+class FrameDecoder:
+    """The one frame parser, with no I/O of its own (sans-I/O).
+
+    :meth:`feed` it bytes as they arrive and take finished frames with
+    :meth:`next_frame`.  :attr:`wanted` is how many more bytes the frame
+    in progress needs, so a reader that asks its transport for at most
+    that many never consumes a byte of the next pipelined frame.  The
+    blocking (:func:`recv_frame_ex`) and asyncio
+    (:func:`read_frame_async`) readers are thin loops over this class.
+    """
+
+    def __init__(self) -> None:
+        self._buffer = bytearray()
+        #: Buffer length at which the stage in progress completes: the
+        #: 4-byte length word, then the whole frame.
+        self._need = 4
+        #: The length word of the frame in progress, once it is complete.
+        self._word: int | None = None
+        self._frames: collections.deque[Frame] = collections.deque()
+
+    @property
+    def wanted(self) -> int:
+        """Bytes still missing from the frame in progress (always > 0)."""
+        return self._need - len(self._buffer)
+
+    def feed(self, data: bytes) -> None:
+        """Append ``data`` and decode every frame it completes.
+
+        Raises :class:`FrameTooLargeError` as soon as an oversized length
+        word is complete, before any body byte is wanted, and
+        :class:`WireError` for a complete body that is not a JSON object.
+        """
+        self._buffer += data
+        while len(self._buffer) >= self._need:
+            if self._word is None:
+                word = int.from_bytes(self._buffer[:4], "big")
+                length = word & ~_FLAG_MASK
+                if length > MAX_FRAME_BYTES:
+                    raise FrameTooLargeError(
+                        f"incoming frame announces {length} bytes; "
+                        f"limit {MAX_FRAME_BYTES}"
+                    )
+                self._word = word
+                self._need = (4 + 8 * bool(word & DEADLINE_FLAG)
+                              + 4 * bool(word & CORRELATION_FLAG)
+                              + (TRACE_ID_BYTES + 4) * bool(word & TRACE_FLAG)
+                              + length)
+            else:
+                self._frames.append(self._take_frame())
+
+    def _take_frame(self) -> Frame:
+        """Cut the complete frame off the buffer and decode it."""
+        word, raw, need = self._word, memoryview(self._buffer), self._need
+        self._buffer = self._buffer[need:]
+        self._need, self._word = 4, None
+        offset = 4
+        deadline_ms = correlation_id = trace_id = span_id = None
+        if word & DEADLINE_FLAG:
+            deadline_ms = int.from_bytes(raw[offset:offset + 8], "big")
+            offset += 8
+        if word & CORRELATION_FLAG:
+            correlation_id = int.from_bytes(raw[offset:offset + 4], "big")
+            offset += 4
+        if word & TRACE_FLAG:
+            trace_id = raw[offset:offset + TRACE_ID_BYTES].hex()
+            offset += TRACE_ID_BYTES
+            span_id = int.from_bytes(raw[offset:offset + 4], "big")
+            offset += 4
+        return Frame(_decode_body(raw[offset:need]), deadline_ms,
+                     correlation_id, trace_id, span_id)
+
+    def next_frame(self) -> Frame | None:
+        """The oldest decoded frame not yet taken, or ``None``."""
+        return self._frames.popleft() if self._frames else None
+
+    def feed_eof(self) -> NoReturn:
+        """Signal the end of the stream: raises :class:`ConnectionClosed`,
+        with ``clean=True`` only when the stream ended exactly on a frame
+        boundary."""
+        if not self._buffer:
+            raise ConnectionClosed(clean=True)
+        raise ConnectionClosed(
+            f"peer closed with {self.wanted} bytes of a frame outstanding",
+            clean=False,
         )
-    return (length, bool(word & DEADLINE_FLAG),
-            bool(word & CORRELATION_FLAG), bool(word & TRACE_FLAG))
 
 
 def recv_frame_ex(sock: socket.socket) -> Frame:
@@ -318,27 +362,25 @@ def recv_frame_ex(sock: socket.socket) -> Frame:
     landed exactly on a frame boundary), :class:`FrameTooLargeError` on
     an oversized announcement, or :class:`WireError` on a body that is
     not a JSON object.
+
+    EINTR: :pep:`475` makes ``recv`` retry interrupted syscalls
+    transparently, but a signal *handler* that raises (the daemon's
+    drain handlers are flag-setters, third-party handlers may not be)
+    surfaces ``InterruptedError`` anyway, so the loop retries it
+    explicitly rather than tearing a frame over a signal.  A
+    ``socket.timeout`` is never swallowed: half a frame after the
+    peer's send deadline means the peer is gone or wedged.
     """
-    prefix = _recv_exact(sock, 4)  # clean=True if closed on the boundary
-    length, has_deadline, has_cid, has_trace = _header_layout(prefix)
-    deadline_ms: int | None = None
-    correlation_id: int | None = None
-    trace_id: str | None = None
-    span_id: int | None = None
-    try:
-        if has_deadline:
-            deadline_ms = int.from_bytes(_recv_exact(sock, 8), "big")
-        if has_cid:
-            correlation_id = int.from_bytes(_recv_exact(sock, 4), "big")
-        if has_trace:
-            trace_id = _recv_exact(sock, TRACE_ID_BYTES).hex()
-            span_id = int.from_bytes(_recv_exact(sock, 4), "big")
-        body = _recv_exact(sock, length)
-    except ConnectionClosed as error:
-        error.clean = False  # the frame had started; this is a truncation
-        raise
-    return Frame(_decode_body(body), deadline_ms, correlation_id,
-                 trace_id, span_id)
+    decoder = FrameDecoder()
+    while (frame := decoder.next_frame()) is None:
+        try:
+            chunk = sock.recv(min(decoder.wanted, 1 << 20))
+        except InterruptedError:
+            continue
+        if not chunk:
+            decoder.feed_eof()
+        decoder.feed(chunk)
+    return frame
 
 
 def recv_frame(sock: socket.socket) -> tuple[dict, int | None]:
@@ -352,41 +394,15 @@ def recv_frame(sock: socket.socket) -> tuple[dict, int | None]:
 
 
 async def read_frame_async(reader: "asyncio.StreamReader") -> Frame:
-    """Asyncio twin of :func:`recv_frame_ex` over a ``StreamReader``.
-
-    Maps ``IncompleteReadError`` onto the same :class:`ConnectionClosed`
-    semantics as the blocking reader: ``clean=True`` only when the close
-    landed exactly on a frame boundary.
-    """
-    import asyncio
-
-    try:
-        prefix = await reader.readexactly(4)
-    except asyncio.IncompleteReadError as error:
-        raise ConnectionClosed(
-            "peer closed before a frame header",
-            clean=not error.partial,
-        ) from None
-    length, has_deadline, has_cid, has_trace = _header_layout(prefix)
-    deadline_ms: int | None = None
-    correlation_id: int | None = None
-    trace_id: str | None = None
-    span_id: int | None = None
-    try:
-        if has_deadline:
-            deadline_ms = int.from_bytes(await reader.readexactly(8), "big")
-        if has_cid:
-            correlation_id = int.from_bytes(await reader.readexactly(4), "big")
-        if has_trace:
-            trace_id = (await reader.readexactly(TRACE_ID_BYTES)).hex()
-            span_id = int.from_bytes(await reader.readexactly(4), "big")
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError:
-        raise ConnectionClosed(
-            "peer closed mid-frame", clean=False
-        ) from None
-    return Frame(_decode_body(body), deadline_ms, correlation_id,
-                 trace_id, span_id)
+    """Asyncio twin of :func:`recv_frame_ex` over a ``StreamReader``:
+    the same decoder, so the same frames and the same errors."""
+    decoder = FrameDecoder()
+    while (frame := decoder.next_frame()) is None:
+        chunk = await reader.read(decoder.wanted)
+        if not chunk:
+            decoder.feed_eof()
+        decoder.feed(chunk)
+    return frame
 
 
 def recv_message(sock: socket.socket) -> dict:

@@ -138,19 +138,6 @@ class TestStreamingHelper:
 
 
 class TestDeprecationShims:
-    def test_crawler_resolve_identifier_warns(self, identifier):
-        from repro.crawler import resolve_identifier
-
-        with pytest.warns(DeprecationWarning, match="open_model"):
-            assert resolve_identifier(identifier) is identifier
-
-    def test_resolve_serving_handle_warns(self):
-        from repro.store.client import resolve_serving_handle
-
-        with pytest.warns(DeprecationWarning, match="open_model"):
-            remote = resolve_serving_handle("repro://lazy.sock")
-        assert remote.client.socket_path == "lazy.sock"
-
     def test_client_parse_helpers_delegate(self):
         from repro.api import InvalidHandleError
         from repro.store.client import is_handle, parse_handle

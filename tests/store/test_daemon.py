@@ -242,7 +242,7 @@ class TestLifecycle:
     ):
         """``repro://`` handles resolve to a weightless identifier whose
         answers match the daemon's model exactly."""
-        from repro.crawler import resolve_identifier
+        from repro.api import open_model
 
         first, _ = oracle_pair
         model_path = tmp_path / "handle.urlmodel"
@@ -250,7 +250,7 @@ class TestLifecycle:
         save_identifier(first, model_path)
         start_daemon(model_path, socket_path, workers=1)
         try:
-            remote = resolve_identifier(f"repro://{socket_path}")
+            remote = open_model(f"repro://{socket_path}")
             assert isinstance(remote, RemoteIdentifier)
             assert remote.name == "NB/words"
             assert remote.decisions(test_urls) == first._sparse_decisions(

@@ -66,7 +66,8 @@ class TestScoring:
 
 class TestCrawlerHandles:
     def test_focused_crawl_accepts_artifact_path(self, model_path, small_bundle):
-        from repro.crawler import focused_crawl, resolve_identifier
+        from repro.api import open_model
+        from repro.crawler import focused_crawl
         from repro.linkgraph import build_link_graph
 
         path, identifier = model_path
@@ -78,23 +79,23 @@ class TestCrawlerHandles:
         )
         assert from_path.crawl_order == from_fitted.crawl_order
         assert (
-            resolve_identifier(str(path)).name
-            == resolve_identifier(identifier).name
+            open_model(str(path)).name
+            == open_model(identifier).name
         )
 
     def test_resolve_identifier_rejects_junk(self):
-        from repro.crawler import resolve_identifier
+        from repro.api import open_model
 
         with pytest.raises(TypeError, match="identifier"):
-            resolve_identifier(12345)
+            open_model(12345)
 
     def test_store_handle_resolves(self, small_train, tmp_path):
-        from repro.crawler import resolve_identifier
+        from repro.api import open_model
         from repro.store import ModelStore
 
         identifier = LanguageIdentifier("words", "NB", seed=0).fit(
             small_train.subsample(0.3, seed=1)
         )
         handle = ModelStore(tmp_path / "store").save(identifier)
-        resolved = resolve_identifier(handle)
+        resolved = open_model(handle)
         assert resolved.name == identifier.name

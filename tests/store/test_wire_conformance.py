@@ -18,11 +18,14 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import itertools
 import json
 import random
 import socket
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.store.wire import (
     CORRELATION_FLAG,
@@ -38,6 +41,7 @@ from repro.store.wire import (
     TRACE_ID_BYTES,
     ConnectionClosed,
     Frame,
+    FrameDecoder,
     FrameTooLargeError,
     WireError,
     encode_frame,
@@ -556,3 +560,97 @@ class TestFuzz:
         reads at most what arrives; this returns promptly)."""
         with pytest.raises(ConnectionClosed):
             decode_bytes(MAX_FRAME_BYTES.to_bytes(4, "big") + b"x" * 100)
+
+
+# -- the sans-I/O decoder, property-checked ----------------------------------------
+
+
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=12)
+)
+
+
+@st.composite
+def frames(draw) -> Frame:
+    """A valid frame with a random mix of the optional header fields."""
+    trace_id = draw(st.none() | st.binary(min_size=TRACE_ID_BYTES,
+                                          max_size=TRACE_ID_BYTES).map(
+                                              bytes.hex))
+    return Frame(
+        message=draw(st.dictionaries(st.text(max_size=8), json_scalars,
+                                     max_size=4)),
+        deadline_ms=draw(st.none() | st.integers(0, MAX_DEADLINE_MS)),
+        correlation_id=draw(st.none() | st.integers(0, MAX_CORRELATION_ID)),
+        trace_id=trace_id,
+        span_id=None if trace_id is None else draw(
+            st.integers(0, MAX_SPAN_ID)
+        ),
+    )
+
+
+def encode(frame: Frame) -> bytes:
+    return encode_frame(frame.message, frame.deadline_ms,
+                        frame.correlation_id, trace_id=frame.trace_id,
+                        span_id=frame.span_id)
+
+
+def drain(decoder: FrameDecoder) -> list[Frame]:
+    taken = []
+    while (frame := decoder.next_frame()) is not None:
+        taken.append(frame)
+    return taken
+
+
+class TestFrameDecoderProperties:
+    @given(st.lists(frames(), min_size=1, max_size=5), st.data())
+    def test_any_split_yields_exactly_the_encoded_frames(self, sent, data):
+        stream = b"".join(map(encode, sent))
+        cuts = sorted(data.draw(
+            st.lists(st.integers(0, len(stream)), max_size=12)
+        ))
+        decoder = FrameDecoder()
+        decoded = []
+        for start, stop in zip([0, *cuts], [*cuts, len(stream)]):
+            decoder.feed(stream[start:stop])
+            decoded += drain(decoder)
+        assert decoded == sent
+
+    @given(st.lists(frames(), min_size=1, max_size=4))
+    def test_one_byte_at_a_time_yields_exactly_the_encoded_frames(self, sent):
+        stream = b"".join(map(encode, sent))
+        decoder = FrameDecoder()
+        decoded = []
+        for offset in range(len(stream)):
+            decoder.feed(stream[offset:offset + 1])
+            decoded += drain(decoder)
+        assert decoded == sent
+
+    @given(st.lists(frames(), min_size=1, max_size=4))
+    def test_reading_wanted_bytes_never_crosses_a_frame(self, sent):
+        """The stateless readers' loop: a fresh decoder per frame fed
+        exactly ``wanted`` bytes at a time stops on each boundary."""
+        encoded = list(map(encode, sent))
+        stream = b"".join(encoded)
+        position = 0
+        for frame, boundary in zip(sent, itertools.accumulate(map(len, encoded))):
+            decoder = FrameDecoder()
+            while (decoded := decoder.next_frame()) is None:
+                wanted = decoder.wanted
+                assert 0 < wanted <= boundary - position
+                decoder.feed(stream[position:position + wanted])
+                position += wanted
+            assert (decoded, position) == (frame, boundary)
+
+    @given(st.lists(frames(), min_size=1, max_size=4), st.data())
+    def test_end_of_stream_is_clean_only_on_a_frame_boundary(self, sent, data):
+        encoded = list(map(encode, sent))
+        stream = b"".join(encoded)
+        boundaries = list(itertools.accumulate(map(len, encoded), initial=0))
+        cut = data.draw(st.integers(0, len(stream)))
+        decoder = FrameDecoder()
+        decoder.feed(stream[:cut])
+        complete = sum(1 for boundary in boundaries[1:] if boundary <= cut)
+        assert drain(decoder) == sent[:complete]
+        with pytest.raises(ConnectionClosed) as caught:
+            decoder.feed_eof()
+        assert caught.value.clean is (cut in boundaries)
